@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 from .exactalg import Poly, integrate_shape, poly_gcd, squarefree
@@ -57,6 +58,11 @@ class ProblemData:
     @property
     def rank(self) -> int:
         return self.cartan.rank
+
+    @cached_property
+    def T(self) -> tuple[Poly, ...]:
+        """T_1..T_r, built once per problem."""
+        return tuple(build_T(self))
 
     def pairing(self, s: int, i: int) -> Fraction:
         """(Lambda_s, alpha_i) = m_{s,i} d_i (1-based s, i)."""
@@ -148,7 +154,7 @@ class GenericityReport(NamedTuple):
 
 def is_generic(y: PolyTuple, p: ProblemData) -> GenericityReport:
     """Squarefree entries, coprime to T_i, coprime across linked nodes."""
-    T = build_T(p)
+    T = p.T
     r = p.rank
     for i in range(r):
         if not squarefree(y[i]):
@@ -187,34 +193,38 @@ def bethe_residuals(t: BetheConfig, p: ProblemData) -> list[Fraction]:
             if v in p.points:
                 raise CollisionError(f"coordinate t_{j + 1}^({i + 1}) sits on a marked point")
 
-    residuals = []
+    return _residuals(coords, p, Fraction)
+
+
+def _residuals(groups: Sequence[Sequence], p: ProblemData, num: type) -> list:
+    """The critical-point system at the coordinate groups, one value per
+    coordinate, computed in the number type `num` (Fraction or float).
+
+    Raises ZeroDivisionError when a coordinate sits on a point or on
+    another coordinate of a linked node.
+    """
+    z = [num(v) for v in p.points]
+    out = []
     for i in range(1, p.rank + 1):
-        group = coords[i - 1]
-        for j, tij in enumerate(group):
-            acc = Fraction(0)
-            for s in range(1, len(p.points) + 1):
-                acc -= p.pairing(s, i) / (tij - p.points[s - 1])
+        for j, tij in enumerate(groups[i - 1]):
+            acc = num(0)
+            for s, zs in enumerate(z, start=1):
+                acc -= num(p.pairing(s, i)) / (tij - zs)
             for s in range(1, p.rank + 1):
-                if s == i:
-                    continue
-                ip = p.cartan.bilinear(s, i)
+                ip = num(p.cartan.bilinear(s, i))
                 if ip == 0:
                     continue
-                for tk in coords[s - 1]:
+                for k, tk in enumerate(groups[s - 1]):
+                    if s == i and k == j:
+                        continue
                     acc += ip / (tij - tk)
-            self_ip = p.cartan.bilinear(i, i)
-            for k, tk in enumerate(group):
-                if k != j:
-                    acc += self_ip / (tij - tk)
-            residuals.append(acc)
-    return residuals
+            out.append(acc)
+    return out
 
 
-def wronskian_rhs(y: PolyTuple, i: int, p: ProblemData, T: Optional[list[Poly]] = None) -> Poly:
+def wronskian_rhs(y: Sequence[Poly], i: int, p: ProblemData) -> Poly:
     """T_i * prod_{j != i} y_j^(-a_ij): the target of the i-th relation."""
-    if T is None:
-        T = build_T(p)
-    N = T[i - 1]
+    N = p.T[i - 1]
     for j in range(1, p.rank + 1):
         if j == i:
             continue
@@ -266,37 +276,6 @@ class NewtonResult(NamedTuple):
     coordinates: list[list[float]]
     residual: float
     iterations: int
-
-
-def _float_residuals(flat: list[float], shape: list[int], p: ProblemData) -> list[float]:
-    groups: list[list[float]] = []
-    pos = 0
-    for n in shape:
-        groups.append(flat[pos : pos + n])
-        pos += n
-    z = [float(v) for v in p.points]
-    out = []
-    for i in range(1, p.rank + 1):
-        for j, tij in enumerate(groups[i - 1]):
-            acc = 0.0
-            for s in range(1, len(z) + 1):
-                d = tij - z[s - 1]
-                if d == 0.0:
-                    raise ZeroDivisionError("coordinate on a marked point")
-                acc -= float(p.pairing(s, i)) / d
-            for s in range(1, p.rank + 1):
-                ip = float(p.cartan.bilinear(s, i))
-                if ip == 0.0:
-                    continue
-                for k, tk in enumerate(groups[s - 1]):
-                    if s == i and k == j:
-                        continue
-                    d = tij - tk
-                    if d == 0.0:
-                        raise ZeroDivisionError("colliding coordinates")
-                    acc += ip / d
-            out.append(acc)
-    return out
 
 
 def _float_jacobian(flat: list[float], shape: list[int], p: ProblemData):
@@ -355,7 +334,7 @@ def newton_seed(
         return NewtonResult([[] for _ in shape], 0.0, 0)
 
     try:
-        res = _float_residuals(flat, shape, p)
+        res = _residuals(unflatten(flat), p, float)
     except ZeroDivisionError as exc:
         raise NewtonError(f"start is singular: {exc}", unflatten(flat), float("inf")) from exc
     norm = max(abs(v) for v in res)
@@ -371,7 +350,7 @@ def newton_seed(
         for _ in range(40):
             cand = [a + lam * b for a, b in zip(flat, step)]
             try:
-                cres = _float_residuals(cand, shape, p)
+                cres = _residuals(unflatten(cand), p, float)
             except ZeroDivisionError:
                 lam /= 2
                 continue

@@ -11,7 +11,12 @@ Conventions (fixed once, used everywhere):
 * Weights live in coroot-pairing coordinates: a weight is the tuple of its
   pairings with the simple coroots.  Weyl elements are carried as words in
   the generating reflections; two words are compared through their action
-  on a regular weight.
+  on rho = (1, ..., 1).
+* W is enumerated by a breadth-first search over the orbit of rho, on
+  integer coordinates; the orbit is free, so each element is reached once,
+  by a shortest word.  The length of an element is the number of simple
+  descents (reflect in any node with a negative coordinate) that bring its
+  image of rho back to rho.
 """
 
 from __future__ import annotations
@@ -205,77 +210,55 @@ def shifted_reflect(i: int, w: Weight, c: CartanData) -> Weight:
     return tuple(w[j] - (mi + 1) * c.a[j][i - 1] for j in range(c.rank))
 
 
+def _letters(word: WeylWord, c: CartanData) -> list[int]:
+    """The word's letters rightmost first, each checked to be a node index."""
+    letters = list(word)[::-1]
+    for i in letters:
+        if not 1 <= i <= c.rank:
+            raise ValueError(f"reflection index {i} out of range for rank {c.rank}")
+    return letters
+
+
 def shifted_action(word: WeylWord, w: Weight, c: CartanData) -> Weight:
     """Apply the word's shifted action, rightmost letter first."""
     out = weight(w)
-    for i in reversed(list(word)):
-        if not 1 <= i <= c.rank:
-            raise ValueError(f"reflection index {i} out of range for rank {c.rank}")
+    for i in _letters(word, c):
         out = shifted_reflect(i, out, c)
     return out
 
 
-def weyl_action(word: WeylWord, w: Weight, c: CartanData) -> Weight:
-    out = weight(w)
-    for i in reversed(list(word)):
+def weyl_action(word: WeylWord, w: Sequence, c: CartanData) -> tuple:
+    """Apply the word's linear action, rightmost letter first."""
+    out = tuple(w)
+    for i in _letters(word, c):
         out = reflect(i, out, c)
     return out
 
 
 # ---------------------------------------------------------------------------
-# Root systems and lengths
+# The Weyl group through the orbit of rho
 # ---------------------------------------------------------------------------
 
 
-def _reflect_root(i: int, root: tuple[Fraction, ...], c: CartanData) -> tuple[Fraction, ...]:
-    # roots in the simple-root basis; s_i(beta) = beta - <beta, coroot_i> alpha_i
-    pairing = sum(root[j] * c.a[i - 1][j] for j in range(c.rank))
-    out = list(root)
-    out[i - 1] -= pairing
-    return tuple(out)
-
-
-def all_roots(c: CartanData) -> frozenset[tuple[Fraction, ...]]:
-    simple = [tuple(Fraction(1) if j == i else Fraction(0) for j in range(c.rank)) for i in range(c.rank)]
-    seen = set(simple)
-    frontier = list(simple)
-    while frontier:
-        nxt = []
-        for root in frontier:
-            for i in range(1, c.rank + 1):
-                img = _reflect_root(i, root, c)
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return frozenset(seen)
-
-
-def positive_roots(c: CartanData) -> list[tuple[Fraction, ...]]:
-    return [r for r in all_roots(c) if all(x >= 0 for x in r)]
+def _rho(c: CartanData) -> tuple[int, ...]:
+    return (1,) * c.rank
 
 
 def weyl_length(word: WeylWord, c: CartanData) -> int:
-    """Length of the group element: positive roots sent to negatives."""
-    count = 0
-    for root in positive_roots(c):
-        img = root
-        for i in reversed(list(word)):
-            img = _reflect_root(i, img, c)
-        if all(x <= 0 for x in img) and any(x < 0 for x in img):
-            count += 1
-    return count
-
-
-def _regular_weight(c: CartanData) -> Weight:
-    return tuple(Fraction(10**k + k) for k in range(1, c.rank + 1))
+    """Length of the group element: descents from its image of rho to rho."""
+    img = weyl_action(word, _rho(c), c)
+    length = 0
+    while i := next((k for k, m in enumerate(img, start=1) if m < 0), 0):
+        img = reflect(i, img, c)
+        length += 1
+    return length
 
 
 def weyl_elements(c: CartanData) -> Iterator[tuple[int, ...]]:
     """Shortest reduced words, one per group element, in BFS order."""
-    base = _regular_weight(c)
+    base = _rho(c)
     seen = {base}
-    frontier: list[tuple[tuple[int, ...], Weight]] = [((), base)]
+    frontier: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), base)]
     yield ()
     while frontier:
         nxt = []
@@ -296,8 +279,7 @@ def weyl_order(c: CartanData) -> int:
 
 
 def words_equal(u: WeylWord, v: WeylWord, c: CartanData) -> bool:
-    base = _regular_weight(c)
-    return weyl_action(u, base, c) == weyl_action(v, base, c)
+    return weyl_action(u, _rho(c), c) == weyl_action(v, _rho(c), c)
 
 
 # ---------------------------------------------------------------------------

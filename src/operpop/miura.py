@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .exactalg import Poly, RatFunc, log_derivative
-from .critical import PolyTuple, ProblemData, build_T, fertility_direction
+from .critical import PolyTuple, ProblemData, fertility_direction, wronskian_rhs
 from .liedata import CartanData, langlands_dual
 from .population import ReproductionPath
 
@@ -62,9 +62,8 @@ def miura_from_tuple(y: PolyTuple, p: ProblemData) -> MiuraOper:
     c_j = log'(reduced y_j); the defining pairing identity is re-verified
     before returning.
     """
-    T = build_T(p)
     r = p.rank
-    log_T = [log_derivative(RatFunc(t)) if t.degree() > 0 else RatFunc.zero() for t in T]
+    log_T = [log_derivative(RatFunc(t)) if t.degree() > 0 else RatFunc.zero() for t in p.T]
     coords = []
     for j in range(r):
         c = log_derivative(RatFunc(y[j])) if y[j].degree() > 0 else RatFunc.zero()
@@ -74,15 +73,7 @@ def miura_from_tuple(y: PolyTuple, p: ProblemData) -> MiuraOper:
         coords.append(c)
     oper = MiuraOper(dual=langlands_dual(p.cartan), h_coords=tuple(coords), provenance=(y, p))
     for i in range(1, r + 1):
-        target = T[i - 1]
-        denom = Poly.one()
-        for j in range(r):
-            e = -p.cartan.a[i - 1][j]
-            if e >= 0:
-                target = target * y[j] ** e
-            else:
-                denom = denom * y[j] ** (-e)
-        combo = RatFunc(target, denom)
+        combo = RatFunc(wronskian_rhs(y, i, p), y[i - 1] ** 2)
         if oper.pairing(i) != -log_derivative(combo):
             raise AssertionError(f"oper pairing invariant failed in direction {i}")
     return oper
@@ -161,7 +152,7 @@ class TwistContext:
 
 
 def twist_context(p: ProblemData) -> TwistContext:
-    return TwistContext(d=p.cartan.det_d, T=tuple(build_T(p)))
+    return TwistContext(d=p.cartan.det_d, T=p.T)
 
 
 ExpVec = tuple[Fraction, ...]

@@ -25,14 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .exactalg import Poly, RatFunc, rational_antiderivative, wronskian
 from .critical import (
     FertilityError,
     PolyTuple,
     ProblemData,
-    build_T,
     fertility_direction,
     is_generic,
     wronskian_rhs,
@@ -43,8 +42,6 @@ from .liedata import (
     is_dominant_integral,
     weight_at_infinity,
     weyl_elements,
-    weyl_length,
-    weyl_order,
 )
 
 
@@ -196,18 +193,10 @@ def calibrated_sequence(
     """
     if shifts is not None and len(shifts) != len(indices):
         raise ValueError("one shift per path index required")
-    T = build_T(p)
     current = list(entries)
     steps: list[CalibratedStep] = []
     for pos, i in enumerate(indices, start=1):
-        N = T[i - 1]
-        for j in range(1, p.rank + 1):
-            if j == i:
-                continue
-            e = -p.cartan.a[i - 1][j - 1]
-            if e:
-                N = N * current[j - 1] ** e
-        d = solve_wronskian_exact(current[i - 1], N)
+        d = solve_wronskian_exact(current[i - 1], wronskian_rhs(current, i, p))
         if d is None:
             raise ReproductionError(f"calibrated step {pos} (direction {i}) is not fertile")
         if shifts is not None and shifts[pos - 1]:
@@ -279,8 +268,8 @@ def explore(seed: PolyTuple, p: ProblemData, max_cells: Optional[int] = None) ->
     """
     if not is_generic(seed, p):
         raise ExplorationError(f"seed is not generic: {is_generic(seed, p).reason}")
-    order = weyl_order(p.cartan)
-    cap = order * p.rank
+    words = list(weyl_elements(p.cartan))
+    cap = len(words) * p.rank
     if max_cells is not None:
         cap = max(cap, max_cells * p.rank)
 
@@ -334,16 +323,12 @@ def explore(seed: PolyTuple, p: ProblemData, max_cells: Optional[int] = None) ->
     # label each degree vector by the shortest Weyl word that produces it
     remaining = set(seen)
     labels: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for word in weyl_elements(p.cartan):
-        if not remaining:
-            break
-        try:
-            degs = degrees_for(word, p.weights, base_degrees, p.cartan)
-        except CellError:
-            continue
+    for degs, word in _labelled(words, base_degrees, p):
         if degs in remaining:
-            labels[degs] = tuple(word)
+            labels[degs] = word
             remaining.discard(degs)
+            if not remaining:
+                break
     if remaining:
         raise ExplorationError(f"degree vectors without a Weyl label: {sorted(remaining)}")
 
@@ -353,7 +338,7 @@ def explore(seed: PolyTuple, p: ProblemData, max_cells: Optional[int] = None) ->
         cells[degs] = Cell(
             degrees=degs,
             word=word,
-            dimension=weyl_length(word, p.cartan),
+            dimension=len(word),
             sample=sample,
             reached_by=path,
             degree_jumps=jumps,
@@ -366,14 +351,22 @@ def explore(seed: PolyTuple, p: ProblemData, max_cells: Optional[int] = None) ->
     )
 
 
-def cell_of(y: PolyTuple, base_degrees: Sequence[int], p: ProblemData) -> tuple[int, ...]:
-    """Shortest Weyl word w with l^w = deg y, searching from base degrees."""
-    target = y.degrees
-    for word in weyl_elements(p.cartan):
+def _labelled(
+    words: Iterable[tuple[int, ...]], base_degrees: Sequence[int], p: ProblemData
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(l^w, w) for each word w, in order, that labels a cell from base degrees."""
+    for word in words:
         try:
             degs = degrees_for(word, p.weights, base_degrees, p.cartan)
         except CellError:
             continue
+        yield degs, word
+
+
+def cell_of(y: PolyTuple, base_degrees: Sequence[int], p: ProblemData) -> tuple[int, ...]:
+    """Shortest Weyl word w with l^w = deg y, searching from base degrees."""
+    target = y.degrees
+    for degs, word in _labelled(weyl_elements(p.cartan), base_degrees, p):
         if degs == target:
-            return tuple(word)
+            return word
     raise CellError(f"no Weyl word reproduces degrees {target} from base {tuple(base_degrees)}")

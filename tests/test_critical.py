@@ -160,8 +160,7 @@ class TestNewtonSeed:
         import operpop.critical as crit
 
         shape = [1, 1]
-        flat = [1.7, 3.1]
-        norms = [max(abs(v) for v in crit._float_residuals(flat, shape, b2_problem))]
+        norms = [max(abs(v) for v in crit._residuals([[1.7], [3.1]], b2_problem, float))]
         result = newton_seed(b2_problem, shape, [[1.7], [3.1]], max_iter=30)
         assert result.residual <= norms[0]
         assert abs(result.coordinates[0][0] - 2.0) < 1e-8

@@ -1,21 +1,42 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from operpop.liedata import (
     CellError,
     cartan_data,
     degrees_for,
     langlands_dual,
-    positive_roots,
     shifted_action,
     weight,
+    weyl_action,
     weyl_elements,
     weyl_length,
     weyl_order,
     words_equal,
 )
+
+# Known group orders and degrees of the basic invariants (Bourbaki,
+# Lie Groups and Lie Algebras, ch. VI, plates I-IX); |W| is the product of
+# the degrees and |Phi+| the sum of (degree - 1).
+WEYL_ORDERS = {
+    ("A", 1): 2, ("A", 2): 6, ("A", 3): 24, ("A", 4): 120, ("A", 5): 720,
+    ("B", 2): 8, ("B", 3): 48, ("B", 4): 384,
+    ("C", 2): 8, ("C", 3): 48, ("C", 4): 384,
+    ("D", 4): 192, ("D", 5): 1920,
+    ("G", 2): 12, ("F", 4): 1152, ("E", 6): 51840,
+}
+
+WEYL_DEGREES = {
+    ("A", 1): (2,), ("A", 2): (2, 3), ("A", 3): (2, 3, 4), ("A", 4): (2, 3, 4, 5),
+    ("B", 2): (2, 4), ("B", 3): (2, 4, 6), ("C", 3): (2, 4, 6), ("B", 4): (2, 4, 6, 8),
+    ("D", 4): (2, 4, 4, 6), ("D", 5): (2, 4, 5, 6, 8),
+    ("G", 2): (2, 6), ("F", 4): (2, 6, 8, 12),
+}
 
 IMPLEMENTED = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),
@@ -105,21 +126,59 @@ class TestWeylLength:
         assert weyl_length([1, 2, 1, 2], cartan_data("B", 2)) == 4
 
     def test_orders(self):
-        assert weyl_order(cartan_data("A", 1)) == 2
-        assert weyl_order(cartan_data("A", 2)) == 6
-        assert weyl_order(cartan_data("B", 2)) == 8
-        assert weyl_order(cartan_data("G", 2)) == 12
-        assert weyl_order(cartan_data("A", 3)) == 24
+        for (family, rank), order in WEYL_ORDERS.items():
+            assert weyl_order(cartan_data(family, rank)) == order, (family, rank)
 
-    def test_positive_root_counts(self):
-        assert len(positive_roots(cartan_data("A", 2))) == 3
-        assert len(positive_roots(cartan_data("B", 2))) == 4
-        assert len(positive_roots(cartan_data("G", 2))) == 6
+    @pytest.mark.parametrize("family,rank", sorted(WEYL_DEGREES))
+    def test_length_histogram_is_poincare_polynomial(self, family, rank):
+        # sum over W of q^length = prod_i (1 + q + ... + q^(d_i - 1)); its
+        # degree, the longest length, is the number of positive roots
+        poincare = [1]
+        for d in WEYL_DEGREES[family, rank]:
+            product = [0] * (len(poincare) + d - 1)
+            for k, coeff in enumerate(poincare):
+                for e in range(d):
+                    product[k + e] += coeff
+            poincare = product
+        c = cartan_data(family, rank)
+        histogram = Counter(weyl_length(w, c) for w in weyl_elements(c))
+        assert [histogram[k] for k in range(len(poincare))] == poincare
+        assert sum(histogram.values()) == sum(poincare)
+
+    @pytest.mark.parametrize("letter", [0, -1, 3])
+    def test_bad_letters_rejected(self, letter):
+        c = cartan_data("A", 2)
+        with pytest.raises(ValueError, match="out of range"):
+            weyl_length([letter], c)
+        with pytest.raises(ValueError, match="out of range"):
+            weyl_action([1, letter], (1, 1), c)
+        with pytest.raises(ValueError, match="out of range"):
+            words_equal([letter], [], c)
+        with pytest.raises(ValueError, match="out of range"):
+            shifted_action([letter], weight([0, 0]), c)
 
     def test_enumeration_matches_length(self):
         c = cartan_data("B", 2)
         for word in weyl_elements(c):
             assert weyl_length(word, c) == len(word)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_random_words(self, data):
+        family, rank = data.draw(st.sampled_from(sorted(WEYL_DEGREES)))
+        c = cartan_data(family, rank)
+        word = data.draw(st.lists(st.integers(1, rank), max_size=16))
+        length = weyl_length(word, c)
+        assert length <= len(word)
+        assert length % 2 == len(word) % 2
+        assert length == len(_bfs_words(family, rank)[weyl_action(word, (1,) * rank, c)])
+
+
+@lru_cache(maxsize=None)
+def _bfs_words(family, rank):
+    """The BFS word of each element, keyed by the element's image of rho."""
+    c = cartan_data(family, rank)
+    return {weyl_action(w, (1,) * rank, c): w for w in weyl_elements(c)}
 
 
 class TestDegreesFor:

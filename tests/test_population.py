@@ -109,7 +109,10 @@ class TestCalibratedSequence:
 class TestExplore:
     @pytest.mark.parametrize(
         "family,rank,count",
-        [("A", 1, 2), ("A", 2, 6), ("B", 2, 8), ("G", 2, 12)],
+        [
+            ("A", 1, 2), ("A", 2, 6), ("B", 2, 8), ("G", 2, 12),
+            ("A", 3, 24), ("A", 4, 120), ("B", 3, 48), ("C", 3, 48), ("D", 4, 192),
+        ],
     )
     def test_cell_counts(self, family, rank, count):
         p = problem(family, rank)
@@ -122,7 +125,7 @@ class TestExplore:
         assert set(summary.cells) == {(0, 0), (1, 0), (0, 1), (2, 1), (1, 2), (2, 2)}
 
     def test_matches_shifted_action_oracle(self):
-        for family, rank in [("A", 2), ("B", 2), ("G", 2)]:
+        for family, rank in [("A", 2), ("B", 2), ("G", 2), ("A", 3), ("A", 4), ("B", 3), ("C", 3), ("D", 4)]:
             p = problem(family, rank)
             summary = explore(PolyTuple.constants(rank), p)
             predicted = set()
@@ -170,6 +173,16 @@ class TestCellOf:
         p = problem("A", 2)
         sample = PolyTuple([Poly([-1, 0, 1]), Poly([1, 0, 1])])
         assert cell_of(sample, (0, 0), p) in ((1, 2, 1), (2, 1, 2))
+
+    @pytest.mark.parametrize(
+        "family,rank,weights,points",
+        [("B", 2, [[1, 0], [0, 1]], [0, 1]), ("A", 3, [], [])],
+    )
+    def test_agrees_with_explore_labels(self, family, rank, weights, points):
+        p = problem(family, rank, weights, points)
+        summary = explore(PolyTuple.constants(rank), p)
+        for cell in summary.cells.values():
+            assert cell_of(cell.sample, summary.base_degrees, p) == cell.word
 
 
 class TestFertilityPropagation:
