@@ -1,7 +1,6 @@
 """Batch front-end: JSON problem files in, JSON reports out.
 
-Problem file schema (all rationals are exact strings like "-3/7" or "2";
-polynomial coefficient lists are ascending):
+Problem file schema (polynomial coefficient lists are ascending):
 
     {
       "lie_type": "A",
@@ -9,26 +8,32 @@ polynomial coefficient lists are ascending):
       "weights": [[1], [1]],
       "points": ["0", "1"],
       "tuple": [["1/4", "-1/2", "1"]],
-      "path": [1],                      # optional
-      "parameters": [["1", "0"]],      # optional, one (c1, c2) per path step
+      "path": [1],                      # optional, node indices in 1..rank
       "bethe": [["1/2"]]               # optional explicit coordinates
     }
 
+A rational is a JSON integer or a string "p" or "p/q" such as "-3/7";
+booleans, floats, null, lists and objects are not.  `rank`, the weight
+coordinates (>= 0) and the `path` entries are integers.  Any other field
+is rejected.
+
 Subcommands: check, descend, populate, solve, verify.
-Exit codes: 0 success, 1 negative verdict (not fertile / verification
-failed), 2 invalid input or unsupported request.
+Exit codes: 0 success; 1 negative verdict (not fertile, reproduction,
+exploration or verification failed); 2 `InputError` (a bad file, document
+or option), colliding bethe coordinates or an unsupported builder.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactalg import Poly, RatFunc
+from .exactalg import Poly
 from .critical import (
     BetheConfig,
     CollisionError,
@@ -39,7 +44,7 @@ from .critical import (
     fertility_direction,
     is_generic,
 )
-from .liedata import cartan_data
+from .liedata import CartanError, cartan_data, is_dominant_integral
 from .miura import miura_from_tuple
 from .population import ExplorationError, ReproductionError, descend, explore
 from .solutions import (
@@ -52,72 +57,88 @@ from .solutions import (
 
 
 class InputError(ValueError):
-    pass
+    """The problem file, the problem document or an option is malformed."""
+
+
+FIELDS = ("lie_type", "rank", "weights", "points", "tuple", "path", "bethe")
+
+# Exponent forms such as "1e10000000" are left out: Fraction would spend
+# unbounded time expanding them.
+_RATIONAL = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
 
 
 def _frac(value, where: str) -> Fraction:
-    try:
-        return Fraction(str(value))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"{where}: {value!r} is not an exact rational") from exc
+    if type(value) is int or isinstance(value, str) and _RATIONAL.fullmatch(value):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):  # over 4300 digits, or "p/0"
+            pass
+    raise InputError(f"{where}: {value!r} is not an exact rational")
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"{where} must be a list")
+    return value
+
+
+def _index(value, rank: int, where: str) -> int:
+    if type(value) is not int or not 1 <= value <= rank:
+        raise InputError(f"{where}: {value!r} is not an index in 1..{rank}")
+    return value
 
 
 def parse_problem(doc: dict) -> tuple[ProblemData, PolyTuple, dict]:
-    """Validate a problem document; returns (problem, tuple, extras)."""
+    """Validate a problem document; returns (problem, tuple, extras).
+
+    Every check runs before the Cartan data are built, and a failed one
+    raises InputError.
+    """
     if not isinstance(doc, dict):
         raise InputError("problem document must be a key-value tree")
-    for key in ("lie_type", "rank", "weights", "points", "tuple"):
+    unknown = sorted(set(doc) - set(FIELDS))
+    if unknown:
+        raise InputError(f"unknown fields {unknown}")
+    for key in FIELDS[:5]:  # path and bethe are optional
         if key not in doc:
             raise InputError(f"missing field {key!r}")
-    family = doc["lie_type"]
     rank = doc["rank"]
-    if not isinstance(rank, int) or rank < 1:
+    if type(rank) is not int or rank < 1:
         raise InputError("rank must be a positive integer")
     weights = []
-    for s, w in enumerate(doc["weights"], start=1):
-        if len(w) != rank:
-            raise InputError(f"weights[{s}]: expected {rank} coordinates")
-        weights.append(tuple(_frac(v, f"weights[{s}]") for v in w))
-    points = [_frac(z, f"points[{s + 1}]") for s, z in enumerate(doc["points"])]
-    if len(points) != len(weights):
-        raise InputError("weights and points must have equal length")
-    try:
-        cartan = cartan_data(family, rank)
-        p = ProblemData(cartan=cartan, weights=tuple(weights), points=tuple(points))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    coeff_lists = doc["tuple"]
+    for s, w in enumerate(_list(doc["weights"], "weights"), start=1):
+        weights.append(tuple(_frac(v, f"weights[{s}]") for v in _list(w, f"weights[{s}]")))
+        if len(w) != rank or not is_dominant_integral(weights[-1]):
+            raise InputError(f"weights[{s}]: expected {rank} non-negative integers")
+    points = [_frac(z, f"points[{s}]") for s, z in enumerate(_list(doc["points"], "points"), start=1)]
+    if len(set(points)) != len(points) or len(points) != len(weights):
+        raise InputError("points must be pairwise distinct, one per weight")
+    coeff_lists = _list(doc["tuple"], "tuple")
     if len(coeff_lists) != rank:
         raise InputError(f"tuple: expected {rank} coefficient lists")
     polys = []
     for i, coeffs in enumerate(coeff_lists, start=1):
-        poly = Poly(_frac(c, f"tuple[{i}]") for c in coeffs)
+        poly = Poly(_frac(c, f"tuple[{i}]") for c in _list(coeffs, f"tuple[{i}]"))
         if poly.is_zero():
             raise InputError(f"tuple[{i}] is the zero polynomial")
         polys.append(poly)
-    try:
-        y = PolyTuple(polys)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
 
     extras = {}
-    if "path" in doc and doc["path"] is not None:
-        path = [int(i) for i in doc["path"]]
-        if any(not 1 <= i <= rank for i in path):
-            raise InputError("path indices must lie in 1..rank")
-        extras["path"] = path
-    if "parameters" in doc and doc["parameters"] is not None:
-        extras["parameters"] = [
-            (_frac(c1, "parameters"), _frac(c2, "parameters")) for c1, c2 in doc["parameters"]
-        ]
-    if "bethe" in doc and doc["bethe"] is not None:
-        groups = doc["bethe"]
+    if doc.get("path") is not None:
+        extras["path"] = [_index(i, rank, "path") for i in _list(doc["path"], "path")]
+    if doc.get("bethe") is not None:
+        groups = _list(doc["bethe"], "bethe")
         if len(groups) != rank:
             raise InputError("bethe: one coordinate group per node required")
         extras["bethe"] = BetheConfig.of(
-            [[_frac(t, "bethe") for t in group] for group in groups]
+            [[_frac(t, "bethe") for t in _list(group, "bethe")] for group in groups]
         )
-    return p, y, extras
+    try:
+        cartan = cartan_data(doc["lie_type"], rank)
+    except CartanError as exc:
+        raise InputError(str(exc)) from exc
+    p = ProblemData(cartan=cartan, weights=tuple(weights), points=tuple(points))
+    return p, PolyTuple(polys), extras
 
 
 def echo_problem(p: ProblemData, y: PolyTuple, extras: dict) -> dict:
@@ -130,8 +151,6 @@ def echo_problem(p: ProblemData, y: PolyTuple, extras: dict) -> dict:
     }
     if "path" in extras:
         doc["path"] = list(extras["path"])
-    if "parameters" in extras:
-        doc["parameters"] = [[str(c1), str(c2)] for c1, c2 in extras["parameters"]]
     if "bethe" in extras:
         doc["bethe"] = [[str(t) for t in group] for group in extras["bethe"].coordinates]
     return doc
@@ -141,15 +160,9 @@ def _poly_strs(poly: Poly) -> list[str]:
     return [str(c) for c in poly.coeffs]
 
 
-def _ratfunc_str(f: RatFunc) -> str:
-    return str(f)
-
-
 def _twisted_entry(v) -> dict:
     """Map "q_1,...,q_r" exponent keys to rational-function strings."""
-    return {
-        ",".join(str(e) for e in q): _ratfunc_str(c) for q, c in sorted(v.terms.items())
-    }
+    return {",".join(str(e) for e in q): str(c) for q, c in sorted(v.terms.items())}
 
 
 def cmd_check(p: ProblemData, y: PolyTuple, extras: dict, report: dict) -> int:
@@ -181,7 +194,7 @@ def cmd_check(p: ProblemData, y: PolyTuple, extras: dict, report: dict) -> int:
         try:
             residuals = bethe_residuals(extras["bethe"], p)
         except CollisionError as exc:
-            report["bethe_error"] = str(exc)
+            report["error"] = str(exc)
             return 2
         report["bethe_residuals"] = [str(v) for v in residuals]
         report["critical"] = all(v == 0 for v in residuals)
@@ -189,11 +202,7 @@ def cmd_check(p: ProblemData, y: PolyTuple, extras: dict, report: dict) -> int:
 
 
 def cmd_descend(p: ProblemData, y: PolyTuple, extras: dict, report: dict, direction: int, param) -> int:
-    try:
-        child = descend(y, direction, param, p)
-    except (ReproductionError, FertilityError, ValueError) as exc:
-        report["error"] = str(exc)
-        return 1
+    child = descend(y, direction, param, p)
     report["direction"] = direction
     report["parameter"] = [str(param[0]), str(param[1])]
     report["descendant"] = [_poly_strs(q) for q in child.polys]
@@ -226,11 +235,9 @@ def _solve(p: ProblemData, y: PolyTuple, extras: dict, report: dict, rep_kind: s
         rep_kind = {"A": "sl", "B": "sp"}.get(p.cartan.family, "general")
     try:
         if rep_kind == "sl":
-            Y = solution_A(y, p)
-            entries = Y.rows
+            entries = solution_A(y, p).rows
         elif rep_kind == "sp":
-            Y = solution_BC(y, p)
-            entries = Y.rows
+            entries = solution_BC(y, p).rows
         elif rep_kind == "general":
             path = extras.get("path", [])
             vec = solution_general(y, path, None, p)
@@ -266,8 +273,15 @@ def cmd_verify(p: ProblemData, y: PolyTuple, extras: dict, report: dict) -> int:
     return _solve(p, y, extras, report, "general")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises InputError instead of exiting."""
+
+    def error(self, message: str):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="operpop",
         description="Exact checks, reproduction, population tables and oper solutions.",
     )
@@ -287,63 +301,62 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    started = time.perf_counter()
-    report: dict = {"command": args.command}
-    code = 0
+def _request(args: argparse.Namespace) -> tuple[ProblemData, PolyTuple, dict]:
+    """Read and check the problem file and the options; raises InputError.
+
+    On return a `--path` has replaced the document's path in the extras,
+    and `args.param` of descend is a checked pair of Fractions.
+    """
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        report["error"] = f"cannot read problem file: {exc}"
-        _emit(report, getattr(args, "output", None), started)
-        return 2
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: bad JSON or UTF-8, an int over 4300 digits; RecursionError: deep nesting
+        raise InputError(f"cannot read problem file: {exc}") from exc
+    p, y, extras = parse_problem(doc)
+    if getattr(args, "path", None):
+        path = [_frac(v, "--path") for v in args.path.split(",") if v != ""]
+        extras["path"] = [_index(int(i) if i.denominator == 1 else i, p.rank, "--path") for i in path]
+    if args.command == "descend":
+        _index(args.direction, p.rank, "--direction")
+        c1, _, c2 = args.param.partition(":")
+        args.param = (_frac(c1, "--param"), _frac(c2, "--param"))
+        if args.param == (0, 0):
+            raise InputError("--param: (0 : 0) is not a projective parameter")
+    if args.command == "populate" and args.max_cells is not None and args.max_cells < 1:
+        raise InputError("--max-cells must be at least 1")
+    return p, y, extras
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    started = time.perf_counter()
+    report: dict = {}
+    output = None
     try:
-        p, y, extras = parse_problem(doc)
+        args = build_parser().parse_args(argv)
+        report["command"] = args.command
+        output = args.output
+        p, y, extras = _request(args)
     except InputError as exc:
         report["error"] = str(exc)
-        _emit(report, args.output, started)
+        _emit(report, output, started)
         return 2
-    if getattr(args, "path", None):
-        try:
-            extras["path"] = [int(v) for v in str(args.path).split(",") if v != ""]
-        except ValueError:
-            report["error"] = f"bad --path value {args.path!r}"
-            _emit(report, args.output, started)
-            return 2
-        if any(not 1 <= i <= p.rank for i in extras["path"]):
-            report["error"] = "path indices must lie in 1..rank"
-            _emit(report, args.output, started)
-            return 2
     report["problem"] = echo_problem(p, y, extras)
     try:
         if args.command == "check":
             code = cmd_check(p, y, extras, report)
         elif args.command == "descend":
-            try:
-                c1, c2 = args.param.split(":")
-                param = (Fraction(c1), Fraction(c2))
-            except (ValueError, ZeroDivisionError):
-                report["error"] = f"bad --param value {args.param!r}"
-                _emit(report, args.output, started)
-                return 2
-            if not 1 <= args.direction <= p.rank:
-                report["error"] = "direction out of range"
-                _emit(report, args.output, started)
-                return 2
-            code = cmd_descend(p, y, extras, report, args.direction, param)
+            code = cmd_descend(p, y, extras, report, args.direction, args.param)
         elif args.command == "populate":
             code = cmd_populate(p, y, extras, report, args.max_cells)
         elif args.command == "solve":
             code = _solve(p, y, extras, report, args.rep)
-        elif args.command == "verify":
+        else:
             code = cmd_verify(p, y, extras, report)
-    except (ReproductionError, FertilityError, CollisionError, ExplorationError, ValueError) as exc:
+    except (ReproductionError, FertilityError, CollisionError, ExplorationError) as exc:
         report["error"] = str(exc)
         code = 1
-    _emit(report, args.output, started)
+    _emit(report, output, started)
     return code
 
 

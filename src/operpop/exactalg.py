@@ -293,9 +293,6 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_polynomial(self) -> bool:
-        return self.den.degree() == 0
-
     def is_constant(self) -> bool:
         return self.num.degree() <= 0 and self.den.degree() == 0
 
@@ -380,10 +377,6 @@ def _coerce(value: Union[RatFunc, Poly, ScalarLike]) -> RatFunc:
 
 def wronskian(f: Poly, g: Poly) -> Poly:
     """W(f, g) = f'g - fg'."""
-    return f.derivative() * g - f * g.derivative()
-
-
-def wronskian_rat(f: RatFunc, g: RatFunc) -> RatFunc:
     return f.derivative() * g - f * g.derivative()
 
 

@@ -26,14 +26,16 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterator, Sequence
 
-from .exactalg import solve_linear_exact
-
 Weight = tuple[Fraction, ...]
 WeylWord = Sequence[int]
 
 
 class CellError(ValueError):
     """A degree-vector / Weyl-word combination that labels no cell."""
+
+
+class CartanError(ValueError):
+    """A family letter and rank that name no finite simple type."""
 
 
 @dataclass(frozen=True)
@@ -79,30 +81,30 @@ def _chain(rank: int) -> list[list[int]]:
 def _cartan_matrix(family: str, rank: int) -> tuple[list[list[int]], list[int]]:
     if family == "A":
         if rank < 1:
-            raise ValueError("A_r needs r >= 1")
+            raise CartanError("A_r needs r >= 1")
         return _chain(rank), [1] * rank
     if family == "B":
         if rank < 2:
-            raise ValueError("B_r needs r >= 2")
+            raise CartanError("B_r needs r >= 2")
         a = _chain(rank)
         a[rank - 1][rank - 2] = -2
         return a, [2] * (rank - 1) + [1]
     if family == "C":
         if rank < 2:
-            raise ValueError("C_r needs r >= 2")
+            raise CartanError("C_r needs r >= 2")
         a = _chain(rank)
         a[rank - 2][rank - 1] = -2
         return a, [1] * (rank - 1) + [2]
     if family == "D":
         if rank < 3:
-            raise ValueError("D_r needs r >= 3")
+            raise CartanError("D_r needs r >= 3")
         a = _chain(rank)
         a[rank - 1][rank - 2] = a[rank - 2][rank - 1] = 0
         a[rank - 1][rank - 3] = a[rank - 3][rank - 1] = -1
         return a, [1] * rank
     if family == "E":
         if rank not in (6, 7, 8):
-            raise ValueError("E_r needs r in {6, 7, 8}")
+            raise CartanError("E_r needs r in {6, 7, 8}")
         # Bourbaki: chain 1-3-4-5-...-r with node 2 attached to node 4.
         a = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
         edges = [(1, 3), (3, 4), (4, 5), (2, 4)] + [(k, k + 1) for k in range(5, rank)]
@@ -111,51 +113,39 @@ def _cartan_matrix(family: str, rank: int) -> tuple[list[list[int]], list[int]]:
         return a, [1] * rank
     if family == "F":
         if rank != 4:
-            raise ValueError("F_4 needs rank 4")
+            raise CartanError("F_4 needs rank 4")
         a = _chain(4)
         a[2][1] = -2  # nodes 1,2 long; 3,4 short
         return a, [2, 2, 1, 1]
     if family == "G":
         if rank != 2:
-            raise ValueError("G_2 needs rank 2")
+            raise CartanError("G_2 needs rank 2")
         return [[2, -3], [-1, 2]], [1, 3]
-    raise ValueError(f"unknown family {family!r}")
+    raise CartanError(f"unknown family {family!r}")
 
 
 def _invert_integer_matrix(a: Sequence[Sequence[int]]) -> tuple[tuple[tuple[Fraction, ...], ...], int]:
+    """(a^-1, det a) from one Gauss-Jordan elimination of [a | I]."""
     r = len(a)
-    cols = []
-    for j in range(r):
-        rows = [[Fraction(a[i][k]) for k in range(r)] for i in range(r)]
-        rhs = [Fraction(1) if i == j else Fraction(0) for i in range(r)]
-        col = solve_linear_exact(rows, rhs)
-        if col is None:
-            raise ValueError("Cartan matrix is singular (not finite type)")
-        cols.append(col)
-    b = tuple(tuple(cols[j][i] for j in range(r)) for i in range(r))
-    det = _det_int(a)
-    if det <= 0:
-        raise ValueError("Cartan determinant not positive (not finite type)")
-    return b, det
-
-
-def _det_int(a: Sequence[Sequence[int]]) -> int:
-    m = [[Fraction(v) for v in row] for row in a]
-    n = len(m)
+    m = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(r)] for i, row in enumerate(a)]
     det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+    for col in range(r):
+        pivot = next((k for k in range(col, r) if m[k][col] != 0), None)
         if pivot is None:
-            return 0
+            raise ValueError("Cartan matrix is singular (not finite type)")
         if pivot != col:
             m[col], m[pivot] = m[pivot], m[col]
             det = -det
-        det *= m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] / m[col][col]
-            m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    assert det.denominator == 1
-    return int(det)
+        lead = m[col][col]
+        det *= lead
+        m[col] = [x / lead for x in m[col]]
+        for k in range(r):
+            factor = m[k][col]
+            if k != col and factor != 0:
+                m[k] = [x - factor * y for x, y in zip(m[k], m[col])]
+    if det <= 0:
+        raise ValueError("Cartan determinant not positive (not finite type)")
+    return tuple(tuple(row[r:]) for row in m), int(det)
 
 
 def cartan_data(family: str, rank: int) -> CartanData:

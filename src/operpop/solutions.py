@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Optional, Sequence, Union
 
 from .exactalg import Poly, RatFunc, log_derivative
@@ -47,10 +48,6 @@ class VerificationError(AssertionError):
 
 
 Matrix = tuple[tuple[Fraction, ...], ...]
-
-
-def _mat(rows: Sequence[Sequence]) -> Matrix:
-    return tuple(tuple(Fraction(v) for v in row) for row in rows)
 
 
 def zeros(n: int) -> Matrix:
@@ -392,7 +389,7 @@ def solution_A(y: PolyTuple, p: ProblemData, rep: Optional[MatrixRep] = None) ->
         raise UnsupportedTypeError("solution_A needs a type A problem")
     r = p.rank
     if rep is None:
-        rep = rep_standard_sl(r + 1)
+        rep = default_rep(p)
     ctx = twist_context(p)
     Y = _weight_diagonal(ctx, rep, y.polys)
     for i in range(1, r + 1):
@@ -427,7 +424,7 @@ def solution_BC(y: PolyTuple, p: ProblemData, rep: Optional[MatrixRep] = None) -
         raise UnsupportedTypeError("solution_BC needs a type B problem")
     r = p.rank
     if rep is None:
-        rep = rep_standard_sp(r)
+        rep = default_rep(p)
     ctx = twist_context(p)
     u, pA = fold_to_A(y, p)
     Y = _weight_diagonal(ctx, rep, y.polys)
@@ -453,12 +450,18 @@ def solution_BC(y: PolyTuple, p: ProblemData, rep: Optional[MatrixRep] = None) -
 
 
 def default_rep(p: ProblemData) -> MatrixRep:
-    if p.cartan.family == "A":
-        return rep_standard_sl(p.rank + 1)
-    if p.cartan.family == "B":
-        return rep_standard_sp(p.rank)
+    """The defining representation of the dual algebra, built once per type."""
+    return _rep(p.cartan.family, p.rank)
+
+
+@cache
+def _rep(family: str, rank: int) -> MatrixRep:
+    if family == "A":
+        return rep_standard_sl(rank + 1)
+    if family == "B":
+        return rep_standard_sp(rank)
     raise UnsupportedTypeError(
-        f"no matrix representation implemented for the dual of type {p.cartan.family}_{p.rank}"
+        f"no matrix representation implemented for the dual of type {family}_{rank}"
     )
 
 

@@ -1,8 +1,11 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from operpop.cli import main, parse_problem
+from operpop.cli import FIELDS, main, parse_problem
 
 
 def write(tmp_path, name, doc):
@@ -153,7 +156,7 @@ class TestVerify:
 
 class TestReportContract:
     def test_round_trip(self, tmp_path, capsys):
-        path = write(tmp_path, "p.json", dict(HALF, path=[1], parameters=[["1", "0"]]))
+        path = write(tmp_path, "p.json", dict(HALF, path=[1]))
         code, report = run(["check", path], tmp_path, capsys)
         assert code == 0
         p1, y1, extras1 = parse_problem(report["problem"])
@@ -181,3 +184,103 @@ class TestReportContract:
     def test_missing_file(self, tmp_path, capsys):
         code, report = run(["check", str(tmp_path / "missing.json")], tmp_path, capsys)
         assert code == 2
+
+    def test_parameters_is_an_unknown_field(self, tmp_path, capsys):
+        path = write(tmp_path, "p.json", dict(HALF, parameters=[["1", "0"]]))
+        code, report = run(["check", path], tmp_path, capsys)
+        assert code == 2
+        assert "parameters" in report["error"]
+
+
+RANK_80 = {"lie_type": "A", "rank": 80, "weights": [], "points": [], "tuple": []}
+
+# (document, command and options, a fragment the error must name)
+MALFORMED = [
+    (dict(HALF, path=["x"]), ["check"], "path"),
+    (dict(HALF, weights=5), ["check"], "weights"),
+    (dict(HALF, parameters=[["1"]]), ["check"], "parameters"),
+    (dict(HALF, rank=True), ["check"], "rank"),
+    (dict(HALF, points=[0.5, 1]), ["check"], "points[1]"),
+    (dict(HALF, tuple="a"), ["check"], "tuple"),
+    (dict(HALF, path="1"), ["check"], "path"),
+    (dict(HALF, path=[1.5]), ["check"], "path"),
+    (HALF, ["descend", "--param", "0:0", "--direction", "1"], "--param"),
+    (HALF, ["descend", "--direction", "x"], "--direction"),
+    (HALF, ["populate", "--max-cells", "-1"], "--max-cells"),
+    (RANK_80, ["check"], "tuple"),
+]
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize("doc,args,names", MALFORMED)
+    def test_malformed_input_exits_2(self, doc, args, names, tmp_path, capsys):
+        path = write(tmp_path, "p.json", doc)
+        code = main([args[0], path, *args[1:]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert names in report["error"]
+        # the rank is checked against the tuple before any Cartan data exist
+        assert report["elapsed_s"] < 1
+
+
+# Integer leaves stay small on purpose: a well-formed document with a huge
+# weight, such as [[1000000], [1]], makes build_T expand (x - z)^1000000,
+# which is a long run, not an input the boundary should reject.
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4)
+    | st.sampled_from(["0", "1", "2", "-1/2", "1/0", "1e9", " 1 ", "x"])
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids, max_size=2),
+    max_leaves=8,
+)
+# Well-shaped values as well, so that many examples get past the boundary.
+RATIONALS = st.integers(-3, 3) | st.sampled_from(["0", "1", "2", "-1/2", "1/3", "3/2"])
+SHAPED = st.integers(1, 2) | st.lists(st.lists(RATIONALS, max_size=3), max_size=2)
+OPTION_VALUES = st.sampled_from(["1", "2", "0", "-1", "1:0", "0:1", "0:0", "1,1", ""]) | st.text(max_size=5)
+KEEP, DELETE = object(), object()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    field=st.sampled_from(FIELDS),
+    value=st.sampled_from([KEEP, DELETE]) | SHAPED | JSON_VALUES,
+    unknown=st.just({})
+    | st.dictionaries(st.text(max_size=4).filter(lambda k: k not in FIELDS), JSON_VALUES, max_size=1),
+    command=st.sampled_from(["check", "descend", "populate", "solve", "verify"]),
+    option=OPTION_VALUES,
+    direction=OPTION_VALUES,
+)
+def test_fuzzed_documents_and_options(tmp_path_factory, field, value, unknown, command, option, direction):
+    doc = dict(HALF, **unknown)
+    if value is DELETE:
+        doc.pop(field, None)
+    elif value is not KEEP:
+        doc[field] = value
+    path = tmp_path_factory.mktemp("fuzz") / "p.json"
+    path.write_text(json.dumps(doc))
+    flag = {"descend": "--param", "populate": "--max-cells", "solve": "--path", "verify": "--path"}
+    argv = [command, str(path)]
+    if command == "descend":
+        argv += ["--direction", direction]
+    if command in flag:
+        argv += [flag[command], option]
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:
+        pytest.fail(f"SystemExit({exc.code}) escaped main for {argv}")
+    assert code in (0, 1, 2)
+    assert err.getvalue() == ""
+    report = json.loads(out.getvalue())
+    assert isinstance(report, dict)
+    if code == 2:
+        assert report["error"]

@@ -70,6 +70,17 @@ class TestCartanData:
                 assert s == (1 if i == j else 0)
                 assert c.d_sym[i] * c.a[i][j] == c.d_sym[j] * c.a[j][i]
 
+    @pytest.mark.parametrize(
+        "family,rank,det",
+        [("A", r, r + 1) for r in (1, 2, 5, 12)]
+        + [("B", r, 2) for r in (2, 3, 7)]
+        + [("C", r, 2) for r in (2, 3, 7)]
+        + [("D", r, 4) for r in (3, 4, 5, 9)]
+        + [("E", 6, 3), ("E", 7, 2), ("E", 8, 1), ("F", 4, 1), ("G", 2, 1)],
+    )
+    def test_determinants(self, family, rank, det):
+        assert cartan_data(family, rank).det_d == det
+
     def test_invalid_types_rejected(self):
         for family, rank in [("D", 2), ("E", 5), ("F", 3), ("G", 3), ("A", 0), ("X", 2)]:
             with pytest.raises(ValueError):
