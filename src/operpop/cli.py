@@ -14,8 +14,9 @@ Problem file schema (polynomial coefficient lists are ascending):
 
 A rational is a JSON integer or a string "p" or "p/q" such as "-3/7";
 booleans, floats, null, lists and objects are not.  `rank`, the weight
-coordinates (>= 0) and the `path` entries are integers.  Any other field
-is rejected.
+coordinates (>= 0) and the `path` entries are integers.  For each node i,
+deg T_i (the sum of the i-th weight coordinates) is at most MAX_T_DEGREE
+= 256.  Any other field is rejected.  `--output` is opened before any work.
 
 Subcommands: check, descend, populate, solve, verify.
 Exit codes: 0 success; 1 negative verdict (not fertile, reproduction,
@@ -31,7 +32,7 @@ import re
 import sys
 import time
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
 
 from .exactalg import Poly
 from .critical import (
@@ -61,6 +62,10 @@ class InputError(ValueError):
 
 
 FIELDS = ("lie_type", "rank", "weights", "points", "tuple", "path", "bethe")
+
+# Bound on deg T_i.  T_i expands (x - z)^m exactly; at z = 1/3 that takes
+# about 1 s for deg T = 256 and 13 s for 1000 (2 vCPU, Python 3.11).
+MAX_T_DEGREE = 256
 
 # Exponent forms such as "1e10000000" are left out: Fraction would spend
 # unbounded time expanding them.
@@ -110,6 +115,9 @@ def parse_problem(doc: dict) -> tuple[ProblemData, PolyTuple, dict]:
         weights.append(tuple(_frac(v, f"weights[{s}]") for v in _list(w, f"weights[{s}]")))
         if len(w) != rank or not is_dominant_integral(weights[-1]):
             raise InputError(f"weights[{s}]: expected {rank} non-negative integers")
+    for i, deg_t in enumerate(map(sum, zip(*weights)), start=1):
+        if deg_t > MAX_T_DEGREE:
+            raise InputError(f"weights: deg T_{i} = {deg_t} exceeds {MAX_T_DEGREE}")
     points = [_frac(z, f"points[{s}]") for s, z in enumerate(_list(doc["points"], "points"), start=1)]
     if len(set(points)) != len(points) or len(points) != len(weights):
         raise InputError("points must be pairwise distinct, one per weight")
@@ -335,7 +343,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         report["command"] = args.command
-        output = args.output
+        if args.output:
+            try:  # append mode: the problem file may be the report path; _emit truncates
+                output = open(args.output, "a", encoding="utf-8")
+            except OSError as exc:
+                raise InputError(f"cannot open --output: {exc}") from exc
         p, y, extras = _request(args)
     except InputError as exc:
         report["error"] = str(exc)
@@ -360,14 +372,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return code
 
 
-def _emit(report: dict, output: Optional[str], started: float) -> None:
+def _emit(report: dict, output: Optional[TextIO], started: float) -> None:
     report["elapsed_s"] = round(time.perf_counter() - started, 6)
     text = json.dumps(report, indent=2)
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
+    if output is None:
         print(text)
+    else:
+        with output:
+            output.truncate(0)
+            output.write(text + "\n")
 
 
 if __name__ == "__main__":

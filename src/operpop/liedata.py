@@ -12,11 +12,12 @@ Conventions (fixed once, used everywhere):
   pairings with the simple coroots.  Weyl elements are carried as words in
   the generating reflections; two words are compared through their action
   on rho = (1, ..., 1).
-* W is enumerated by a breadth-first search over the orbit of rho, on
-  integer coordinates; the orbit is free, so each element is reached once,
-  by a shortest word.  The length of an element is the number of simple
-  descents (reflect in any node with a negative coordinate) that bring its
-  image of rho back to rho.
+* One breadth-first orbit walk on integer coordinates serves W (the orbit
+  of rho) and the cell table (the shifted orbit of the base degrees).  Both
+  orbits are free, so each point is reached once, by a shortest word, and
+  both walks yield the same words in the same order.  The length of an
+  element is the number of simple descents (reflect in any node with a
+  negative coordinate) that bring its image of rho back to rho.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 Weight = tuple[Fraction, ...]
 WeylWord = Sequence[int]
@@ -244,24 +245,28 @@ def weyl_length(word: WeylWord, c: CartanData) -> int:
     return length
 
 
-def weyl_elements(c: CartanData) -> Iterator[tuple[int, ...]]:
-    """Shortest reduced words, one per group element, in BFS order."""
-    base = _rho(c)
-    seen = {base}
-    frontier: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), base)]
-    yield ()
+def _orbit(start: tuple, step: Callable[[int, tuple], tuple], rank: int) -> Iterator[tuple[tuple, tuple]]:
+    """(point, word) over the orbit of `start` under step(i, .), i in 1..rank,
+    breadth first: each point once, by a shortest word (letters act on the left)."""
+    seen = {start}
+    frontier = [(start, ())]
+    yield start, ()
     while frontier:
         nxt = []
-        for word, img in frontier:
-            for i in range(1, c.rank + 1):
-                img2 = reflect(i, img, c)
-                if img2 not in seen:
-                    seen.add(img2)
-                    # letters act on the left in our convention
-                    new_word = (i,) + word
-                    nxt.append((new_word, img2))
-                    yield new_word
+        for point, word in frontier:
+            for i in range(1, rank + 1):
+                image = step(i, point)
+                if image not in seen:
+                    seen.add(image)
+                    nxt.append((image, (i,) + word))
+                    yield nxt[-1]
         frontier = nxt
+
+
+def weyl_elements(c: CartanData) -> Iterator[tuple[int, ...]]:
+    """Shortest reduced words, one per group element, in BFS order."""
+    for _, word in _orbit(_rho(c), lambda i, m: reflect(i, m, c), c.rank):
+        yield word
 
 
 def weyl_order(c: CartanData) -> int:
@@ -298,3 +303,17 @@ def degrees_for(word: WeylWord, weights: Sequence[Weight], l: Sequence[int], c: 
     if any(x.denominator != 1 or x < 0 for x in lw):
         raise CellError(f"word {list(word)} does not label a valid cell (degrees {lw})")
     return tuple(int(x) for x in lw)
+
+
+def shifted_reflect_degrees(i: int, l: Sequence[int], weights: Sequence[Weight], c: CartanData) -> tuple:
+    """l^{s_i w} from l^w: l_i -> deg T_i - sum_{j != i} a_ij l_j + 1 - l_i, in integers."""
+    row = c.a[i - 1]
+    out = list(l)
+    deg_t = sum(int(w[i - 1]) for w in weights)  # the i-th weight coordinates
+    out[i - 1] = deg_t + 1 + l[i - 1] - sum(a * m for a, m in zip(row, l))  # a_ii = 2
+    return tuple(out)
+
+
+def cell_words(l: Sequence[int], weights: Sequence[Weight], c: CartanData) -> dict[tuple, tuple[int, ...]]:
+    """{l^w: w} over W from base degrees l, w shortest; a negative l^w labels no cell."""
+    return dict(_orbit(tuple(l), lambda i, m: shifted_reflect_degrees(i, m, weights, c), c.rank))

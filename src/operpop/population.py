@@ -13,19 +13,19 @@ solution formulas require.  It integrates through non-squarefree bases
 (these legitimately appear when a path revisits a direction), using the
 general rational-antiderivative routine.
 
-`explore` walks the whole population of a seed by canonical descents,
-labels each degree vector with the Weyl word predicted by the shifted
-action from the dominant base member, and keeps one sample tuple per
-cell.  When the canonical member of a family is not generic, a
-deterministic scan over small integer parameters picks a generic member
-of the same degree so exploration can continue.
+`explore` walks the population of a seed by canonical descents, only into
+new cells (the shifted reflection s_i predicts where a descent lands), and
+keeps one sample tuple per cell, labelled by its shifted Weyl orbit word.
+When the canonical member of a family is not generic, a deterministic scan
+over small integer parameters picks a generic member of the same degree so
+exploration can continue.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .exactalg import Poly, RatFunc, rational_antiderivative, wronskian
 from .critical import (
@@ -38,10 +38,10 @@ from .critical import (
 )
 from .liedata import (
     CellError,
-    degrees_for,
+    cell_words,
     is_dominant_integral,
+    shifted_reflect_degrees,
     weight_at_infinity,
-    weyl_elements,
 )
 
 
@@ -261,44 +261,35 @@ def _generic_member(family: DescendantFamily, p: ProblemData) -> tuple[PolyTuple
 def explore(seed: PolyTuple, p: ProblemData, max_cells: Optional[int] = None) -> PopulationSummary:
     """Breadth-first closure of the population over canonical descents.
 
-    Each newly seen degree vector becomes a cell; samples are generic
-    members whenever the family has one among the scanned parameters.
-    Cells are labeled by the Weyl word reproducing their degree vector
-    from the dominant base member.
+    Each degree vector is expanded once, into the directions whose shifted
+    reflection is a new degree vector, so the walk stays in the finite
+    shifted Weyl orbit of the seed degrees.  Samples are generic members
+    whenever the family has one among the scanned parameters.  Cells are
+    labeled by the Weyl word reproducing their degree vector from the
+    dominant base member.
     """
     if not is_generic(seed, p):
         raise ExplorationError(f"seed is not generic: {is_generic(seed, p).reason}")
-    words = list(weyl_elements(p.cartan))
-    cap = len(words) * p.rank
-    if max_cells is not None:
-        cap = max(cap, max_cells * p.rank)
-
     seen: dict[tuple[int, ...], tuple[PolyTuple, tuple[int, ...], int]] = {
         seed.degrees: (seed, (), 0)
     }
     frontier = [seed.degrees]
     exceptional: list[str] = []
-    expansions = 0
     while frontier:
         nxt: list[tuple[int, ...]] = []
         for key in frontier:
             sample, path, jumps = seen[key]
             for i in range(1, p.rank + 1):
-                expansions += 1
-                if expansions > cap:
-                    raise ExplorationError(
-                        f"descent cap {cap} exceeded; population appears unbounded (bug)"
-                    )
+                ckey = shifted_reflect_degrees(i, key, p.weights, p.cartan)
+                if ckey in seen:
+                    continue
                 try:
                     family = descend_family(sample, i, p)
                 except (FertilityError, ReproductionError) as exc:
                     exceptional.append(f"{key} direction {i}: {exc}")
                     continue
-                canonical_degs = list(key)
-                canonical_degs[i - 1] = family.canonical.degree()
-                ckey = tuple(canonical_degs)
-                if ckey in seen:
-                    continue
+                if (degree := family.canonical.degree()) != ckey[i - 1]:
+                    raise ExplorationError(f"{key} direction {i}: degree {degree}, s_i predicts {ckey[i - 1]}")
                 member, canonical_ok = _generic_member(family, p)
                 if not canonical_ok:
                     exceptional.append(f"{key} direction {i}: canonical member not generic")
@@ -320,18 +311,7 @@ def explore(seed: PolyTuple, p: ProblemData, max_cells: Optional[int] = None) ->
     if base_degrees is None:
         raise ExplorationError("no member with dominant weight at infinity was reached")
 
-    # label each degree vector by the shortest Weyl word that produces it
-    remaining = set(seen)
-    labels: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for degs, word in _labelled(words, base_degrees, p):
-        if degs in remaining:
-            labels[degs] = word
-            remaining.discard(degs)
-            if not remaining:
-                break
-    if remaining:
-        raise ExplorationError(f"degree vectors without a Weyl label: {sorted(remaining)}")
-
+    labels = cell_words(base_degrees, p.weights, p.cartan)
     cells = {}
     for degs, (sample, path, jumps) in seen.items():
         word = labels[degs]
@@ -351,22 +331,9 @@ def explore(seed: PolyTuple, p: ProblemData, max_cells: Optional[int] = None) ->
     )
 
 
-def _labelled(
-    words: Iterable[tuple[int, ...]], base_degrees: Sequence[int], p: ProblemData
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(l^w, w) for each word w, in order, that labels a cell from base degrees."""
-    for word in words:
-        try:
-            degs = degrees_for(word, p.weights, base_degrees, p.cartan)
-        except CellError:
-            continue
-        yield degs, word
-
-
 def cell_of(y: PolyTuple, base_degrees: Sequence[int], p: ProblemData) -> tuple[int, ...]:
-    """Shortest Weyl word w with l^w = deg y, searching from base degrees."""
-    target = y.degrees
-    for degs, word in _labelled(weyl_elements(p.cartan), base_degrees, p):
-        if degs == target:
-            return word
-    raise CellError(f"no Weyl word reproduces degrees {target} from base {tuple(base_degrees)}")
+    """Shortest Weyl word w with l^w = deg y, from base degrees."""
+    word = cell_words(base_degrees, p.weights, p.cartan).get(y.degrees)
+    if word is None:
+        raise CellError(f"no Weyl word reproduces degrees {y.degrees} from base {tuple(base_degrees)}")
+    return word

@@ -181,6 +181,12 @@ class TestReportContract:
         report = json.loads(out.read_text())
         assert report["fertile"] is True
 
+    def test_output_may_be_the_problem_file(self, tmp_path, capsys):
+        path = write(tmp_path, "p.json", HALF)
+        code = main(["check", path, "--output", path])
+        assert code == 0
+        assert json.loads((tmp_path / "p.json").read_text())["fertile"] is True
+
     def test_missing_file(self, tmp_path, capsys):
         code, report = run(["check", str(tmp_path / "missing.json")], tmp_path, capsys)
         assert code == 2
@@ -208,6 +214,8 @@ MALFORMED = [
     (HALF, ["descend", "--direction", "x"], "--direction"),
     (HALF, ["populate", "--max-cells", "-1"], "--max-cells"),
     (RANK_80, ["check"], "tuple"),
+    (dict(HALF, weights=[[1000000], [1]]), ["check"], "deg T_1"),
+    (HALF, ["check", "--output", "/nonexistent/dir/report.json"], "--output"),
 ]
 
 
@@ -225,9 +233,9 @@ class TestInputBoundary:
         assert report["elapsed_s"] < 1
 
 
-# Integer leaves stay small on purpose: a well-formed document with a huge
-# weight, such as [[1000000], [1]], makes build_T expand (x - z)^1000000,
-# which is a long run, not an input the boundary should reject.
+# Integer leaves stay small on purpose: the boundary rejects deg T_i over
+# MAX_T_DEGREE, but a well-formed document near that limit is still a long
+# populate or solve run, not an input the boundary should reject.
 JSON_LEAVES = (
     st.none()
     | st.booleans()

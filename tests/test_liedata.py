@@ -9,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 from operpop.liedata import (
     CellError,
     cartan_data,
+    cell_words,
     degrees_for,
     langlands_dual,
     shifted_action,
+    shifted_reflect_degrees,
     weight,
     weyl_action,
     weyl_elements,
@@ -168,6 +170,10 @@ class TestWeylLength:
         with pytest.raises(ValueError, match="out of range"):
             shifted_action([letter], weight([0, 0]), c)
 
+    def test_bfs_order(self):
+        c = cartan_data("A", 2)
+        assert list(weyl_elements(c)) == [(), (1,), (2,), (2, 1), (1, 2), (1, 2, 1)]
+
     def test_enumeration_matches_length(self):
         c = cartan_data("B", 2)
         for word in weyl_elements(c):
@@ -227,6 +233,35 @@ class TestDegreesFor:
                 assert diffs == [] or diffs == [i - 1]
                 if weyl_length(extended, c) == weyl_length(word, c) + 1:
                     assert degs[i - 1] > base[i - 1]
+
+
+ORBIT_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 3), ("D", 4), ("G", 2)]
+
+
+class TestShiftedOrbit:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_left_letter_is_shifted_reflection(self, data):
+        family, rank = data.draw(st.sampled_from(ORBIT_TYPES))
+        c = cartan_data(family, rank)
+        coords = st.lists(st.integers(0, 2), min_size=rank, max_size=rank)
+        ws = [weight(w) for w in data.draw(st.lists(coords, max_size=3))]
+        word = data.draw(st.sampled_from(list(_bfs_words(family, rank).values())))
+        i = data.draw(st.integers(1, rank))
+        base = (0,) * rank  # the weight at infinity is dominant, so every l^w is a cell
+        assert shifted_reflect_degrees(i, degrees_for(word, ws, base, c), ws, c) == degrees_for(
+            (i,) + word, ws, base, c
+        )
+
+    @pytest.mark.parametrize(
+        "family,rank,weights",
+        [("A", 3, []), ("B", 2, [[1, 0], [0, 1]]), ("G", 2, [[1, 0], [0, 1]]), ("D", 4, [[0, 1, 0, 0]])],
+    )
+    def test_cell_table_is_degrees_for_over_weyl_elements(self, family, rank, weights):
+        c = cartan_data(family, rank)
+        ws = [weight(w) for w in weights]
+        table = {degrees_for(w, ws, (0,) * rank, c): w for w in weyl_elements(c)}
+        assert list(cell_words((0,) * rank, ws, c).items()) == list(table.items())
 
 
 class TestWordEquality:

@@ -6,7 +6,9 @@ import pytest
 from operpop.exactalg import Poly, wronskian
 from operpop.critical import PolyTuple, build_T, fertility_direction, is_generic, problem
 from operpop.liedata import degrees_for, weyl_elements, weyl_length
+from operpop import population
 from operpop.population import (
+    ExplorationError,
     ReproductionError,
     calibrated_sequence,
     cell_of,
@@ -153,6 +155,31 @@ class TestExplore:
         assert set(summary.cells) == {(1,), (2,)}
         assert summary.base_degrees == (1,)
 
+    @pytest.mark.parametrize(
+        "family,rank,weights,points",
+        [("D", 4, [], []), ("G", 2, [[1, 0], [0, 1]], [0, 1])],
+    )
+    def test_one_descent_per_new_cell(self, family, rank, weights, points, monkeypatch):
+        calls = []
+
+        def counting(y, i, p):
+            calls.append(i)
+            return descend_family(y, i, p)
+
+        monkeypatch.setattr(population, "descend_family", counting)
+        p = problem(family, rank, weights, points)
+        summary = explore(PolyTuple.constants(rank), p)
+        assert len(calls) == len(summary) - 1
+
+    def test_wrong_canonical_degree_raises(self, monkeypatch):
+        def too_high(y, i, p):
+            tilde = fertility_direction(y, i, p)
+            return None if tilde is None else tilde * X
+
+        monkeypatch.setattr(population, "fertility_direction", too_high)
+        with pytest.raises(ExplorationError, match="predicts 1"):
+            explore(PolyTuple.constants(1), problem("A", 1))
+
     def test_exceptional_members_recorded_not_fatal(self):
         # B_2 n=0 canonical members like (x, x^3) are non-generic; the
         # exploration logs them and continues through generic members
@@ -176,7 +203,12 @@ class TestCellOf:
 
     @pytest.mark.parametrize(
         "family,rank,weights,points",
-        [("B", 2, [[1, 0], [0, 1]], [0, 1]), ("A", 3, [], [])],
+        [
+            ("B", 2, [[1, 0], [0, 1]], [0, 1]),
+            ("A", 3, [], []),
+            ("G", 2, [[1, 0], [0, 1]], [0, 1]),
+            ("D", 4, [], []),
+        ],
     )
     def test_agrees_with_explore_labels(self, family, rank, weights, points):
         p = problem(family, rank, weights, points)
