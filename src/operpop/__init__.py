@@ -10,6 +10,7 @@ from .exactalg import (
     rational_antiderivative,
     squarefree,
     wronskian,
+    wronskian_partner,
 )
 from .liedata import CartanData, cartan_data, degrees_for, langlands_dual, shifted_action, weyl_length
 from .critical import (

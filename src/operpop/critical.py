@@ -7,9 +7,8 @@ r-tuples of monic polynomials; the exact tests here decide
 * genericity (squarefree, coprime to the T-polynomials, coprime across
   linked Dynkin nodes),
 * fertility in a direction i: existence of a polynomial solution of
-  W(y_i, ~y_i) = T_i prod_{j != i} y_j^(-a_ij), decided by whether the
-  antiderivative of the integrand is rational (obstruction B = 0 in
-  `integrate_shape`), never by root finding,
+  W(y_i, ~y_i) = T_i prod_{j != i} y_j^(-a_ij), decided by the triangular
+  solve `wronskian_partner` (zero residual), never by root finding,
 
 and evaluate the critical-point equations themselves at explicit rational
 root configurations.  A small damped-Newton seeder (the only float code in
@@ -24,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
-from .exactalg import Poly, integrate_shape, poly_gcd, squarefree
+from .exactalg import Poly, poly_gcd, squarefree, wronskian_partner
 from .liedata import CartanData, Weight, cartan_data, is_dominant_integral, weight
 
 
@@ -237,22 +236,17 @@ def wronskian_rhs(y: Sequence[Poly], i: int, p: ProblemData) -> Poly:
 def fertility_direction(y: PolyTuple, i: int, p: ProblemData) -> Optional[Poly]:
     """Canonical monic ~y_i if direction i is fertile, else None.
 
-    The family of solutions is c1 * (y_i P - A) + c2 * y_i; the canonical
-    member takes the antiderivative with zero integration constant
-    (P(0) = 0) and is returned monic.  Postcondition on success:
-    wronskian(y_i, result) is a nonzero constant multiple of the relation
-    right-hand side.
+    The family of solutions is c1 * u + c2 * y_i with u the Wronskian
+    partner of y_i; the canonical member is u itself, fixed by
+    (u // y_i)(0) = 0 (zero integration constant), returned monic.
+    Postcondition on success: wronskian(y_i, result) is a nonzero constant
+    multiple of the relation right-hand side.
     """
     yi = y[i - 1]
     if not squarefree(yi):
         raise FertilityError(f"y_{i} has a multiple root; tuple is not generic in direction {i}")
-    N = wronskian_rhs(y, i, p)
-    if yi.degree() == 0:
-        return N.antiderivative().monic()
-    P, A, B = integrate_shape(N, yi)
-    if not B.is_zero():
-        return None
-    return (yi * P - A).monic()
+    u = wronskian_partner(yi, wronskian_rhs(y, i, p))
+    return None if u is None else u.monic()
 
 
 def is_fertile(y: PolyTuple, p: ProblemData) -> bool:

@@ -4,16 +4,18 @@ Scalars are `fractions.Fraction` throughout (arbitrary precision, always
 stored reduced with a positive denominator, which is exactly the invariant
 we need).  Polynomials are dense ascending coefficient tuples; rational
 functions are kept reduced with a monic denominator.  On top of the ring
-operations the module provides the three primitives everything else is
+operations the module provides the two primitives everything else is
 built from:
 
 * `wronskian(f, g) = f'g - fg'`,
-* `integrate_shape(N, y)`: the decomposition N/y^2 = P' + (-A/y)' + B/y
-  for squarefree y, whose obstruction B vanishes exactly when N/y^2 has a
-  rational antiderivative,
-* `rational_antiderivative(f)`: the same question for an arbitrary
-  rational function, answered by Ostrogradsky reduction (a single exact
-  linear solve, no factorization).
+* `wronskian_partner(y, N)`: the polynomial u with W(y, u) = N, found by
+  one triangular solve on the coefficients (no gcd, no factorization), or
+  None when there is none.  Fertility, calibrated reproduction steps and
+  `rational_antiderivative(f)` are all this one question.
+
+`integrate_shape(N, y)` (the Hermite split N/y^2 = P' + (-A/y)' + B/y for
+squarefree monic y, via `poly_ext_gcd`) is kept as an independent
+reference that the engine does not call.
 
 Everything here is pure value arithmetic; no floats, no global state.
 """
@@ -142,14 +144,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return binary_power(self, n) if n else Poly.one()
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if other.is_zero():
@@ -227,6 +222,20 @@ class Poly:
         for term in parts[1:]:
             out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
         return out
+
+
+def binary_power(base, n: int):
+    """base ** n for n >= 1 by left-to-right square-and-multiply.
+
+    Uses n.bit_length() + n.bit_count() - 2 products and builds no square
+    beyond the last bit; `base` is any value with an exact `*`.
+    """
+    result = base
+    for bit in bin(n)[3:]:
+        result = result * result
+        if bit == "1":
+            result = result * base
+    return result
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
@@ -398,6 +407,59 @@ def log_derivative(f: Union[RatFunc, Poly]) -> RatFunc:
 
 
 # ---------------------------------------------------------------------------
+# Wronskian partners and rational antiderivatives (one triangular solve)
+# ---------------------------------------------------------------------------
+
+
+def wronskian_partner(y: Poly, N: Poly) -> Optional[Poly]:
+    """The polynomial u with W(y, u) = N and (u // y)(0) = 0, or None.
+
+    W(y, x^k) = sum_i (i - k) y_i x^(i+k-1) has top term
+    (d - k) lc(y) x^(d+k-1), d = deg y, so the coefficients u_m .. u_0,
+    m = deg N + 1 - d, follow top-down from the coefficients of N.  The
+    power k = d is skipped: it is the free multiple of y, which the final
+    shift fixes so that (u // y)(0) = 0.  A partner exists iff the residual
+    of the solve is zero.  No gcd, and y need not be monic or squarefree.
+    """
+    if y.is_zero():
+        raise ValueError("wronskian_partner needs a nonzero y")
+    ys = y.coeffs
+    d = len(ys) - 1
+    lead = ys[-1]
+    rem = list(N.coeffs)
+    u = [Fraction(0)] * max(len(rem) + 1 - d, 0)
+    for k in range(len(u) - 1, -1, -1):
+        if k == d:
+            continue
+        c = rem[d + k - 1] / ((d - k) * lead)
+        if c == 0:
+            continue
+        u[k] = c
+        for i, yi in enumerate(ys):
+            if yi and i != k:
+                rem[i + k - 1] -= c * (i - k) * yi
+    if any(rem):
+        return None
+    partner = Poly(u)
+    shift = (partner // y).coeff(0)
+    return partner - y * shift if shift else partner
+
+
+def rational_antiderivative(f: RatFunc) -> Optional[RatFunc]:
+    """Antiderivative of f if it is a rational function, else None.
+
+    A rational antiderivative F has a denominator dividing f.den, and
+    F = G / f.den satisfies F' = f iff W(f.den, G) = -f.num * f.den, so G
+    is minus a Wronskian partner.  The integration constant is fixed to
+    zero: the polynomial part of F vanishes at 0.
+    """
+    G = wronskian_partner(f.den, f.num * f.den)
+    if G is None:
+        return None
+    return RatFunc(-G, f.den)
+
+
+# ---------------------------------------------------------------------------
 # Hermite-style integration of N / y^2 for squarefree y
 # ---------------------------------------------------------------------------
 
@@ -435,102 +497,3 @@ def integrate_shape(N: Poly, y: Poly) -> ShapeParts:
     qw, B = divmod(w, y)
     P = (qw - q.derivative()).antiderivative()
     return ShapeParts(poly_part=P, rat_part_num=A, obstruction=B)
-
-
-# ---------------------------------------------------------------------------
-# Rational antiderivatives of arbitrary rational functions (Ostrogradsky)
-# ---------------------------------------------------------------------------
-
-
-def solve_linear_exact(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> Optional[list[Fraction]]:
-    """Solve a (possibly overdetermined, consistent) exact linear system.
-
-    Returns one solution, or None if the system is inconsistent.  Free
-    variables, if any, are set to zero.
-    """
-    m = [list(row) + [r] for row, r in zip(rows, rhs)]
-    nrows = len(m)
-    ncols = len(rows[0]) if rows else 0
-    pivot_cols = []
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, nrows) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        pv = m[row][col]
-        m[row] = [v / pv for v in m[row]]
-        for r in range(nrows):
-            if r != row and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
-        pivot_cols.append(col)
-        row += 1
-        if row == nrows:
-            break
-    for r in range(row, nrows):
-        if m[r][ncols] != 0:
-            return None
-    solution = [Fraction(0)] * ncols
-    for r, col in enumerate(pivot_cols):
-        solution[col] = m[r][ncols]
-    return solution
-
-
-def ostrogradsky(num: Poly, den: Poly) -> tuple[Poly, Poly, Poly, Poly]:
-    """Decompose a proper fraction num/den as (S/V)' + R/U.
-
-    V = gcd(den, den') carries the repeated factors, U = den/V is the
-    radical.  Returns (S, V, R, U); the antiderivative of num/den is
-    rational exactly when R = 0.  Requires deg num < deg den and den monic.
-    """
-    if num.degree() >= den.degree():
-        raise ValueError("ostrogradsky needs a proper fraction")
-    if not den.is_monic():
-        raise ValueError("ostrogradsky needs a monic denominator")
-    V = poly_gcd(den, den.derivative())
-    U = den // V
-    nS, nU = V.degree(), U.degree()
-    if nS == 0:
-        return Poly.zero(), V, num, U
-    # Match coefficients in  num*V = U*(S'V - SV') + R*V^2  (linear in S, R).
-    Vp = V.derivative()
-    ncols = nS + nU
-    deg_bound = nU + 2 * nS
-    columns: list[list[Fraction]] = []
-    for k in range(nS):
-        xk = Poly([Fraction(0)] * k + [Fraction(1)])
-        contrib = U * (xk.derivative() * V - xk * Vp)
-        columns.append([contrib.coeff(d) for d in range(deg_bound)])
-    V2 = V * V
-    for k in range(nU):
-        xk = Poly([Fraction(0)] * k + [Fraction(1)])
-        contrib = xk * V2
-        columns.append([contrib.coeff(d) for d in range(deg_bound)])
-    target = num * V
-    rows = [[columns[c][d] for c in range(ncols)] for d in range(deg_bound)]
-    rhs = [target.coeff(d) for d in range(deg_bound)]
-    sol = solve_linear_exact(rows, rhs)
-    if sol is None:
-        raise ArithmeticError("Ostrogradsky system inconsistent (should not happen)")
-    S = Poly(sol[:nS])
-    R = Poly(sol[nS:])
-    return S, V, R, U
-
-
-def rational_antiderivative(f: RatFunc) -> Optional[RatFunc]:
-    """Antiderivative of f if it is a rational function, else None.
-
-    The integration constant is fixed to zero (the polynomial part gets a
-    zero constant term and the proper part S/V has no constant).
-    """
-    q, rem = divmod(f.num, f.den)
-    result = RatFunc(q.antiderivative())
-    if rem.is_zero():
-        return result
-    S, V, R, _U = ostrogradsky(rem, f.den)
-    if not R.is_zero():
-        return None
-    return result + RatFunc(S, V)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
-from .exactalg import Poly, RatFunc, log_derivative
+from .exactalg import Poly, RatFunc, binary_power, log_derivative
 from .critical import PolyTuple, ProblemData, fertility_direction, wronskian_rhs
 from .liedata import CartanData, langlands_dual
 from .population import ReproductionPath
@@ -259,14 +259,7 @@ class TwistedFunc:
             return self._pow_rational(n)
         n = int(n)
         if n >= 0:
-            result = TwistedFunc.one(self.ctx)
-            base = self
-            while n:
-                if n & 1:
-                    result = result * base
-                base = base * base
-                n >>= 1
-            return result
+            return binary_power(self, n) if n else TwistedFunc.one(self.ctx)
         q, c = self.single_term()  # raises for multi-term negative powers
         if c.is_zero():
             raise ZeroDivisionError("negative power of zero")

@@ -9,9 +9,9 @@ monic projective representatives).
 `calibrated_sequence` produces the same diagonal sequence with exact
 scales: each new polynomial d satisfies W(prev_i, d) = T_i * prod
 (prev_j)^(-a_ij) on the nose, which is the normalization the explicit
-solution formulas require.  It integrates through non-squarefree bases
-(these legitimately appear when a path revisits a direction), using the
-general rational-antiderivative routine.
+solution formulas require.  It solves through non-squarefree bases
+(these legitimately appear when a path revisits a direction) with the
+same `wronskian_partner` solve that decides fertility.
 
 `explore` walks the population of a seed by canonical descents, only into
 new cells (the shifted reflection s_i predicts where a descent lands), and
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactalg import Poly, RatFunc, rational_antiderivative, wronskian
+from .exactalg import Poly, wronskian, wronskian_partner
 from .critical import (
     FertilityError,
     PolyTuple,
@@ -150,25 +150,6 @@ def reproduce_path(
 # ---------------------------------------------------------------------------
 
 
-def solve_wronskian_exact(base: Poly, rhs: Poly) -> Optional[Poly]:
-    """Polynomial d with W(base, d) = rhs exactly, or None.
-
-    General solution d = -base * C + const * base with C the antiderivative
-    of rhs/base^2; a polynomial solution exists iff C is rational and
-    base * C is a polynomial.  The member with zero integration constant
-    is returned.
-    """
-    if base.is_zero():
-        raise ValueError("base polynomial must be nonzero")
-    C = rational_antiderivative(RatFunc(rhs, base * base))
-    if C is None:
-        return None
-    d = RatFunc(base) * C
-    if d.den.degree() != 0:
-        return None
-    return -d.num
-
-
 @dataclass(frozen=True)
 class CalibratedStep:
     index: int
@@ -185,18 +166,19 @@ def calibrated_sequence(
     """Diagonal sequence with exact Wronskian normalization at every step.
 
     `entries` are the seed representatives (not rescaled); each step
-    replaces entry i by a polynomial d solving W(prev_i, d) = T_i *
-    prod_{j != i} prev_j^(-a_ij) exactly.  The default member has zero
-    integration constant; `shifts` adds shifts[l] * prev_i to the l-th
-    diagonal polynomial, which ranges over all associated sequences
-    without disturbing the Wronskian relations.
+    replaces entry i by the Wronskian partner d of prev_i, which solves
+    W(prev_i, d) = T_i * prod_{j != i} prev_j^(-a_ij) exactly.  The default
+    member has (d // prev_i)(0) = 0, i.e. zero integration constant;
+    `shifts` adds shifts[l] * prev_i to the l-th diagonal polynomial, which
+    ranges over all associated sequences without disturbing the Wronskian
+    relations.
     """
     if shifts is not None and len(shifts) != len(indices):
         raise ValueError("one shift per path index required")
     current = list(entries)
     steps: list[CalibratedStep] = []
     for pos, i in enumerate(indices, start=1):
-        d = solve_wronskian_exact(current[i - 1], wronskian_rhs(current, i, p))
+        d = wronskian_partner(current[i - 1], wronskian_rhs(current, i, p))
         if d is None:
             raise ReproductionError(f"calibrated step {pos} (direction {i}) is not fertile")
         if shifts is not None and shifts[pos - 1]:

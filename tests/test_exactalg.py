@@ -8,12 +8,12 @@ from operpop.exactalg import (
     RatFunc,
     integrate_shape,
     log_derivative,
-    ostrogradsky,
     poly_ext_gcd,
     poly_gcd,
     rational_antiderivative,
     squarefree,
     wronskian,
+    wronskian_partner,
 )
 
 F = Fraction
@@ -229,6 +229,8 @@ class TestRationalAntiderivative:
             done += 1
 
     def test_ostrogradsky_identity(self):
+        # num/den = (S/V)' + R/U with V = gcd(den, den'), U = den/V: the
+        # antiderivative is S/V when R = 0 and not rational otherwise
         rng = random.Random(8)
         done = 0
         while done < 40:
@@ -236,8 +238,82 @@ class TestRationalAntiderivative:
             num = rand_poly(rng, den.degree() - 1) if den.degree() > 0 else Poly.zero()
             if den.degree() == 0 or num.degree() >= den.degree():
                 continue
-            S, V, R, U = ostrogradsky(num, den)
-            lhs = RatFunc(num, den)
-            rhs = RatFunc(S, V).derivative() + RatFunc(R, U)
-            assert lhs == rhs
+            V = poly_gcd(den, den.derivative())
+            U = den // V
+            anti = rational_antiderivative(RatFunc(num, den))
+            if anti is not None:
+                assert anti.derivative() == RatFunc(num, den)
+                assert (V % anti.den).is_zero()
+            S = rand_poly(rng, V.degree() - 1) if V.degree() > 0 else Poly.zero()
+            R = rand_poly(rng, U.degree() - 1)
+            f = RatFunc(S, V).derivative() + RatFunc(R, U)
+            assert rational_antiderivative(f) == (RatFunc(S, V) if R.is_zero() else None)
             done += 1
+
+
+class TestWronskianPartner:
+    def test_half_example(self):
+        y = Poly([F(-1, 2), 1])
+        u = wronskian_partner(y, Poly([0, -1, 1]))
+        assert u == Poly([F(-1, 4), F(1, 2), -1])
+        assert (u // y)(0) == 0
+
+    def test_constant_y_integrates(self):
+        u = wronskian_partner(Poly.const(F(-2, 3)), Poly([1, 2]))
+        assert u == Poly([0, 1, 1]) * F(3, 2)  # -(x + x^2) / (-2/3)
+
+    def test_no_partner(self):
+        assert wronskian_partner(X - Poly.one(), X) is None  # log(x - 1)
+        assert wronskian_partner(X * X, Poly.one()) is None  # -1/(3x^3) * x^2
+        assert wronskian_partner(X**3, X**5) is None  # deg u would be d
+
+    def test_zero_rhs_and_zero_y(self):
+        assert wronskian_partner(Poly([1, 1]), Poly.zero()) == Poly.zero()
+        with pytest.raises(ValueError):
+            wronskian_partner(Poly.zero(), X)
+
+    def test_round_trip_with_multiples_of_y(self):
+        # every partner is the normalized one plus c*y, for any nonzero y
+        rng = random.Random(9)
+        for _ in range(80):
+            y = rand_poly(rng, 4, zero_ok=False)
+            u0 = rand_poly(rng, 5)
+            u = wronskian_partner(y, wronskian(y, u0))
+            assert u is not None
+            assert wronskian(y, u) == wronskian(y, u0)
+            assert (u // y)(0) == 0
+            c = (u0 - u) // y
+            assert c.degree() <= 0 and u + y * c.coeff(0) == u0
+
+    def test_matches_integrate_shape_on_squarefree(self):
+        # integrate_shape is the Hermite reference: u = -(y P - A), B = 0
+        rng = random.Random(10)
+        done = 0
+        while done < 60:
+            N = rand_poly(rng, 6)
+            y = rand_poly(rng, 3, zero_ok=False).monic()
+            if y.degree() < 1 or not squarefree(y):
+                continue
+            if rng.random() < 0.5:
+                N = wronskian(y, rand_poly(rng, 5))
+            P, A, B = integrate_shape(N, y)
+            u = wronskian_partner(y, N)
+            if B.is_zero():
+                assert u == A - y * P
+            else:
+                assert u is None
+            done += 1
+
+
+class TestPow:
+    @pytest.mark.parametrize("n", list(range(10)) + [256])
+    def test_products_and_value(self, n, monkeypatch):
+        base = Poly([F(-1, 3), 1, F(1, 2)])
+        expected = Poly.one()
+        for _ in range(n):
+            expected = expected * base
+        products = []
+        mul = Poly.__mul__
+        monkeypatch.setattr(Poly, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+        assert base**n == expected
+        assert len(products) == (n.bit_length() + n.bit_count() - 2 if n else 0)

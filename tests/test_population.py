@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from operpop.exactalg import Poly, wronskian
+from operpop.exactalg import Poly, wronskian, wronskian_partner
 from operpop.critical import PolyTuple, build_T, fertility_direction, is_generic, problem
 from operpop.liedata import degrees_for, weyl_elements, weyl_length
 from operpop import population
@@ -16,7 +16,6 @@ from operpop.population import (
     descend_family,
     explore,
     reproduce_path,
-    solve_wronskian_exact,
 )
 
 X = Poly.x()
@@ -96,16 +95,16 @@ class TestCalibratedSequence:
                 assert wronskian(current[i - 1], step.diagonal) == rhs
                 current[i - 1] = step.diagonal
 
-    def test_solve_wronskian_exact_nonsquarefree_base(self):
+    def test_wronskian_partner_nonsquarefree_base(self):
         # base x^3/3 with constant integrand: the B_2 [1,2,1,2] step
         base = X**3 * F(1, 3)
         rhs = (X**3 * F(1, 6)) ** 2 * 9  # makes rhs/base^2 constant
-        d = solve_wronskian_exact(base, rhs)
+        d = wronskian_partner(base, rhs)
         assert d is not None
         assert wronskian(base, d) == rhs
 
     def test_unsolvable_returns_none(self):
-        assert solve_wronskian_exact(X**2, Poly.one()) is None
+        assert wronskian_partner(X**2, Poly.one()) is None
 
 
 class TestExplore:

@@ -1,0 +1,85 @@
+"""Engine-independent oracles: sympy checks the exact polynomial layer.
+
+The expected values are computed in sympy alone (its own gcd, derivative,
+division and rational integration); the engine's answers are only
+converted to sympy expressions for the comparison.
+"""
+
+from fractions import Fraction as F
+
+import sympy
+from hypothesis import given, settings, strategies as st
+from sympy.integrals.rationaltools import ratint
+
+from operpop.exactalg import Poly, poly_gcd, squarefree, wronskian, wronskian_partner
+
+x = sympy.Symbol("x")
+
+SCALARS = st.builds(F, st.integers(-5, 5), st.integers(1, 4))
+
+
+def polys(max_degree, nonzero=False):
+    out = st.lists(SCALARS, max_size=max_degree + 1).map(Poly)
+    return out.filter(lambda p: not p.is_zero()) if nonzero else out
+
+
+def to_sympy(p: Poly):
+    return sum((sympy.Rational(c.numerator, c.denominator) * x**k for k, c in enumerate(p.coeffs)), sympy.Integer(0))
+
+
+@st.composite
+def bases(draw):
+    """Nonzero y, constant, non-monic or with a repeated factor."""
+    y = draw(polys(3, nonzero=True))
+    if draw(st.booleans()):
+        y = y * draw(polys(1, nonzero=True)) ** 2
+    return y
+
+
+@settings(max_examples=100, deadline=None)
+@given(bases(), polys(4), polys(6), st.booleans())
+def test_wronskian_partner_against_ratint(y, u0, other, fertile):
+    N = wronskian(y, u0) if fertile else other
+    sy, sN = to_sympy(y), to_sympy(N)
+    # u/y = -(antiderivative of N/y^2) + c, so a polynomial u exists iff
+    # the antiderivative is rational and y times it is a polynomial;
+    # real=False keeps the log part as RootSum/log terms (log_to_real is
+    # slow and decides nothing here)
+    anti = ratint(sN / sy**2, x, real=False)
+    exists = not anti.has(sympy.log, sympy.atan, sympy.RootSum) and sympy.fraction(sympy.cancel(sy * anti))[1].is_number
+    u = wronskian_partner(y, N)
+    assert (u is not None) == exists
+    if fertile:
+        assert u is not None
+    if u is not None:
+        su = to_sympy(u)
+        assert sympy.expand(sympy.diff(sy, x) * su - sy * sympy.diff(su, x) - sN) == 0
+        assert sympy.div(su, sy, x)[0].subs(x, 0) == 0
+
+
+@st.composite
+def poly_pairs(draw):
+    f, g = draw(polys(4)), draw(polys(4))
+    if draw(st.booleans()):
+        h = draw(polys(2, nonzero=True))
+        f, g = f * h, g * h
+    return f, g
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly_pairs())
+def test_poly_gcd_against_sympy(pair):
+    f, g = pair
+    expected = sympy.Poly(to_sympy(f), x, domain="QQ").gcd(sympy.Poly(to_sympy(g), x, domain="QQ"))
+    if not expected.is_zero:
+        expected = expected.monic()
+    assert sympy.expand(to_sympy(poly_gcd(f, g)) - expected.as_expr()) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys(3, nonzero=True), polys(2, nonzero=True), st.booleans())
+def test_squarefree_against_sympy(f, h, repeat):
+    if repeat:
+        f = f * h**2
+    sf = to_sympy(f)
+    assert squarefree(f) == (sympy.degree(sympy.gcd(sf, sympy.diff(sf, x)), x) == 0)
