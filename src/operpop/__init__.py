@@ -39,7 +39,6 @@ from .solutions import (
     MatrixRep,
     TwistedMatrix,
     apply_miura,
-    exp_nilpotent,
     fold_to_A,
     nested_bracket,
     rep_standard_sl,

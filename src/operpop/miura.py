@@ -194,8 +194,8 @@ class TwistedFunc:
     def term(cls, ctx: TwistContext, coeff: Union[RatFunc, Poly], exponents: Sequence) -> "TwistedFunc":
         if isinstance(coeff, Poly):
             coeff = RatFunc(coeff)
-        q, folded = _fold(ctx, tuple(Fraction(e) for e in exponents))
-        return cls(ctx, {q: coeff * folded})
+        q, up, down = _fold(ctx, tuple(Fraction(e) for e in exponents))
+        return cls(ctx, {q: coeff * RatFunc(up, down)})
 
     @classmethod
     def t_power(cls, ctx: TwistContext, l: int, exponent) -> "TwistedFunc":
@@ -247,8 +247,8 @@ class TwistedFunc:
         for q1, c1 in self.terms.items():
             for q2, c2 in other.terms.items():
                 raw = tuple(a + b for a, b in zip(q1, q2))
-                q, folded = _fold(self.ctx, raw)
-                prod = c1 * c2 * folded
+                q, up, down = _fold(self.ctx, raw)
+                prod = c1 * c2 * RatFunc(up, down)
                 out[q] = out.get(q, RatFunc.zero()) + prod
         return TwistedFunc(self.ctx, out)
 
@@ -263,8 +263,8 @@ class TwistedFunc:
         q, c = self.single_term()  # raises for multi-term negative powers
         if c.is_zero():
             raise ZeroDivisionError("negative power of zero")
-        inv_q, folded = _fold(self.ctx, tuple(-e for e in q))
-        inverse = TwistedFunc(self.ctx, {inv_q: (RatFunc.one() / c) * folded})
+        inv_q, up, down = _fold(self.ctx, tuple(-e for e in q))
+        inverse = TwistedFunc(self.ctx, {inv_q: RatFunc(up, down) / c})
         return inverse if n == -1 else inverse ** (-n)
 
     def _pow_rational(self, n: Fraction) -> "TwistedFunc":
@@ -275,8 +275,8 @@ class TwistedFunc:
         for e in raw:
             if (e * self.ctx.d).denominator != 1:
                 raise ValueError("rational power leaves the (1/d)Z exponent lattice")
-        qout, folded = _fold(self.ctx, raw)
-        return TwistedFunc(self.ctx, {qout: folded})
+        qout, up, down = _fold(self.ctx, raw)
+        return TwistedFunc(self.ctx, {qout: RatFunc(up, down)})
 
     def derivative(self) -> "TwistedFunc":
         """d/dx termwise: (f T^q)' = (f' + f sum q_l T_l'/T_l) T^q."""
@@ -311,10 +311,10 @@ class TwistedFunc:
         return "TwistedFunc(" + " + ".join(bits) + ")"
 
 
-def _fold(ctx: TwistContext, raw: ExpVec) -> tuple[ExpVec, RatFunc]:
-    """Canonicalize exponents to [0, 1); fold integer parts into a RatFunc."""
+def _fold(ctx: TwistContext, raw: ExpVec) -> tuple[ExpVec, Poly, Poly]:
+    """Canonicalize exponents to [0, 1): T^raw = T^q * up / down, no gcd taken."""
     q = []
-    factor = RatFunc.one()
+    up, down = Poly.one(), Poly.one()
     for l, e in enumerate(raw):
         if (e * ctx.d).denominator != 1:
             raise ValueError(f"exponent {e} is not in (1/{ctx.d})Z")
@@ -323,11 +323,12 @@ def _fold(ctx: TwistContext, raw: ExpVec) -> tuple[ExpVec, RatFunc]:
             q.append(Fraction(0))
             continue
         k = e.numerator // e.denominator  # floor
-        frac = e - k
-        q.append(frac)
-        if k:
-            factor = factor * RatFunc(ctx.T[l]) ** k
-    return tuple(q), factor
+        q.append(e - k)
+        if k > 0:
+            up = up * ctx.T[l] ** k
+        elif k < 0:
+            down = down * ctx.T[l] ** (-k)
+    return tuple(q), up, down
 
 
 def twisted_wronskian(u: TwistedFunc, v: TwistedFunc) -> TwistedFunc:

@@ -1,12 +1,11 @@
 """Matrix realizations of the dual algebras and explicit oper solutions.
 
 The defining representations of sl_m and sp_2r are pinned by explicit
-matrix conventions and then validated against the Chevalley relations of
-the dual Cartan matrix; nothing downstream depends on the conventions
-beyond those identities, because every solution builder re-verifies
-D Y = 0 entrywise in the twisted field before returning.
-
-Solution shapes:
+matrix conventions and validated against the Chevalley relations of the
+dual Cartan matrix.  A solution is held as Y = T^q * num / den: one twist
+q in [0, 1)^r, a matrix of polynomials and one denominator.  Every builder
+re-verifies D Y = 0 before returning, as one polynomial identity over Q(x)
+(see apply_miura).  Solution shapes:
 
 * type A: Y = Y_0 * Y_1 ... Y_r with Y_0 the weight/T diagonal and Y_i a
   commuting product of exponentials of nested brackets F_{i,j}, fed by the
@@ -25,13 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from typing import Optional, Sequence, Union
+from functools import cache, reduce
+from typing import Optional, Sequence
 
-from .exactalg import Poly, RatFunc, log_derivative
+from .exactalg import Poly, RatFunc, log_derivative, poly_gcd
 from .critical import PolyTuple, ProblemData
 from .liedata import cartan_data, langlands_dual
-from .miura import MiuraOper, TwistContext, TwistedFunc, miura_from_tuple, twist_context
+from .miura import MiuraOper, TwistContext, TwistedFunc, _fold, miura_from_tuple, twist_context
 from .population import ReproductionError, calibrated_sequence
 
 
@@ -230,105 +229,94 @@ def nested_bracket(rep: MatrixRep, kind: str, i: int, j: int) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# Matrices over the twisted field
+# Matrices over the twisted field: one twist, polynomials over one denominator
 # ---------------------------------------------------------------------------
 
 
 class TwistedMatrix:
-    __slots__ = ("ctx", "rows")
+    """T^q * num / den: one twist q, a matrix of polynomials, one denominator.
 
-    def __init__(self, ctx: TwistContext, rows: Sequence[Sequence[TwistedFunc]]):
+    q is canonical in [0, 1)^r: construction folds its integer parts into
+    num or den.  Entries are not reduced; `rows` and `column` render them
+    as reduced single-term twisted functions.
+    """
+
+    __slots__ = ("ctx", "q", "num", "den")
+
+    def __init__(self, ctx: TwistContext, q: Sequence, num: Sequence[Sequence[Poly]], den: Poly):
         self.ctx = ctx
-        self.rows = tuple(tuple(row) for row in rows)
+        self.q, up, down = _fold(ctx, tuple(Fraction(e) for e in q))
+        self.num = [[v * up for v in row] for row in num] if up.degree() > 0 else num
+        self.den = den * down if down.degree() > 0 else den
 
     @classmethod
     def identity(cls, ctx: TwistContext, n: int) -> "TwistedMatrix":
-        one, zero = TwistedFunc.one(ctx), TwistedFunc.zero(ctx)
-        return cls(ctx, [[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_scalar_matrix(cls, ctx: TwistContext, m: Matrix) -> "TwistedMatrix":
-        return cls(
-            ctx,
-            [[TwistedFunc.from_rat(ctx, v) for v in row] for row in m],
-        )
+        num = [[Poly.const(int(i == j)) for j in range(n)] for i in range(n)]
+        return cls(ctx, (0,) * ctx.rank, num, Poly.one())
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (len(self.rows), len(self.rows[0]) if self.rows else 0)
+        return (len(self.num), len(self.num[0]) if self.num else 0)
 
     def __matmul__(self, other: "TwistedMatrix") -> "TwistedMatrix":
-        n, k = self.shape
-        k2, m = other.shape
-        if k != k2:
+        """The product, with the common factor of den and all of num divided out."""
+        if self.shape[1] != other.shape[0]:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        cols = list(zip(*other.rows))
-        zero = TwistedFunc.zero(self.ctx)
-        out = []
-        for row in self.rows:
-            new_row = []
-            for col in cols:
-                acc = zero
-                for a, b in zip(row, col):
-                    if not (a.is_zero() or b.is_zero()):
-                        acc = acc + a * b
-                new_row.append(acc)
-            out.append(new_row)
-        return TwistedMatrix(self.ctx, out)
-
-    def __add__(self, other: "TwistedMatrix") -> "TwistedMatrix":
-        return TwistedMatrix(
-            self.ctx,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-        )
-
-    def scale(self, coeff: Union[TwistedFunc, RatFunc, Poly, int, Fraction]) -> "TwistedMatrix":
-        if not isinstance(coeff, TwistedFunc):
-            coeff = TwistedFunc.from_rat(self.ctx, coeff)
-        return TwistedMatrix(self.ctx, [[v * coeff for v in row] for row in self.rows])
-
-    def derivative(self) -> "TwistedMatrix":
-        return TwistedMatrix(self.ctx, [[v.derivative() for v in row] for row in self.rows])
+        num = [[_dot(row, col) for col in zip(*other.num)] for row in self.num]
+        g = den = self.den * other.den
+        for v in (v for row in num for v in row if v):
+            if g.degree() == 0:
+                break
+            g = poly_gcd(g, v)
+        if g.degree() > 0:
+            num, den = [[v // g for v in row] for row in num], den // g
+        return TwistedMatrix(self.ctx, [a + b for a, b in zip(self.q, other.q)], num, den)
 
     def is_zero(self) -> bool:
-        return all(v.is_zero() for row in self.rows for v in row)
+        return not any(v for row in self.num for v in row)
+
+    def _entry(self, v: Poly) -> TwistedFunc:
+        return TwistedFunc(self.ctx, {self.q: RatFunc(v, self.den)} if v else {})
+
+    @property
+    def rows(self) -> tuple[tuple[TwistedFunc, ...], ...]:
+        return tuple(tuple(self._entry(v) for v in row) for row in self.num)
 
     def column(self, j: int) -> list[TwistedFunc]:
-        return [row[j] for row in self.rows]
+        return [self._entry(row[j]) for row in self.num]
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, TwistedMatrix)
-            and self.ctx == other.ctx
-            and self.rows == other.rows
-        )
+        return isinstance(other, TwistedMatrix) and self.ctx == other.ctx and self.rows == other.rows
 
     def __repr__(self) -> str:
         return f"TwistedMatrix({self.shape[0]}x{self.shape[1]})"
 
 
-def exp_nilpotent(m: TwistedMatrix) -> TwistedMatrix:
-    """Finite exponential sum of a nilpotent twisted matrix."""
-    n = m.shape[0]
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("exponential of a non-square matrix")
-    result = TwistedMatrix.identity(m.ctx, n)
-    power = m
-    k = 1
-    factorial = 1
-    while not power.is_zero():
-        if k > n:
+def _dot(row: Sequence, col: Sequence) -> Poly:
+    """sum_k row_k col_k over Poly and Fraction factors, skipping zeros."""
+    return sum((a * b for a, b in zip(row, col) if a and b), Poly.zero())
+
+
+def _lcm(a: Poly, b: Poly) -> Poly:
+    return a * (b // poly_gcd(a, b))
+
+
+def exp_generator(rep_matrix: Matrix, g: RatFunc, ctx: TwistContext) -> TwistedMatrix:
+    """exp(g M) = sum_k g^k M^k / k! for a constant nilpotent matrix M.
+
+    With g = a/b and M^(m+1) = 0 this is (sum_k a^k b^(m-k) M^k / k!) / b^m,
+    built from the constant Fraction matrices M^k / k!.
+    """
+    n = len(rep_matrix)
+    powers = [eye(n)]  # M^k / k!, up to the first zero power
+    while not mat_is_zero(powers[-1]):
+        if len(powers) > n:
             raise ValueError("matrix is not nilpotent")
-        result = result + power.scale(Fraction(1, factorial))
-        power = power @ m
-        k += 1
-        factorial *= k
-    return result
-
-
-def exp_generator(rep_matrix: Matrix, coeff, ctx: TwistContext) -> TwistedMatrix:
-    """exp(coeff * M) for a constant nilpotent matrix M."""
-    return exp_nilpotent(TwistedMatrix.from_scalar_matrix(ctx, rep_matrix).scale(coeff))
+        powers.append(mat_scale(mat_mul(powers[-1], rep_matrix), Fraction(1, len(powers))))
+    m = len(powers) - 2
+    scalars = [g.num**k * g.den ** (m - k) for k in range(m + 1)]
+    num = [[_dot(scalars, [P[i][j] for P in powers]) for j in range(n)] for i in range(n)]
+    return TwistedMatrix(ctx, (0,) * ctx.rank, num, g.den**m)
 
 
 # ---------------------------------------------------------------------------
@@ -337,50 +325,70 @@ def exp_generator(rep_matrix: Matrix, coeff, ctx: TwistContext) -> TwistedMatrix
 
 
 def apply_miura(D: MiuraOper, rep: MatrixRep, Y: TwistedMatrix) -> TwistedMatrix:
-    """Y' + (sum_i F_i + sum_j c_j H_j) Y; identically zero iff D Y = 0."""
-    if rep.dim != Y.shape[0]:
+    """Y' + (sum_i F_i + sum_j c_j H_j) Y, which is zero iff D Y = 0.
+
+    For Y = T^q num/den, (T^q)' = lambda T^q with lambda = sum_l q_l T_l'/T_l.
+    With L the least common denominator of lambda and the c_j and
+    M = sum_i F_i + sum_j c_j H_j, the result is T^q R / (L den^2) with
+        R = L (num' den - num den') + den (L lambda + L M) num
+          = den (L num' + (L lambda + L M) num) - (L den') num,
+    so D Y = 0 is the one polynomial identity R = 0.
+    """
+    n = rep.dim
+    if n != Y.shape[0]:
         raise ValueError("representation and solution dimensions differ")
-    ctx = Y.ctx
-    op = zeros(rep.dim)
-    for f in rep.F:
-        op = mat_add(op, f)
-    M = TwistedMatrix.from_scalar_matrix(ctx, op)
-    for j, c in enumerate(D.h_coords):
-        if not c.is_zero():
-            M = M + TwistedMatrix.from_scalar_matrix(ctx, rep.H[j]).scale(c)
-    return Y.derivative() + (M @ Y)
+    T, q = Y.ctx.T, Y.q
+    L = reduce(_lcm, [T[l] for l, e in enumerate(q) if e] + [c.den for c in D.h_coords], Poly.one())
+    L_lambda = sum((T[l].derivative() * (L // T[l]) * e for l, e in enumerate(q) if e), Poly.zero())
+    scalars = [L] + [c.num * (L // c.den) for c in D.h_coords]
+    mats = [reduce(mat_add, rep.F), *rep.H]
+    LM = [[_dot(scalars, [m[a][b] for m in mats]) for b in range(n)] for a in range(n)]
+    for a in range(n):
+        LM[a][a] = LM[a][a] + L_lambda
+    den, L_dden = Y.den, L * Y.den.derivative()
+    R = [
+        [den * (L * v.derivative() + _dot(lm_row, col)) - L_dden * v for v, col in zip(y_row, zip(*Y.num))]
+        for y_row, lm_row in zip(Y.num, LM)
+    ]
+    return TwistedMatrix(Y.ctx, q, R, L * den * den)
 
 
 def _weight_diagonal(ctx: TwistContext, rep: MatrixRep, entries: Sequence[Poly]) -> TwistedMatrix:
-    """prod_j entries_j^(-H_j) T_j^(w_j) as a diagonal twisted matrix."""
+    """prod_j entries_j^(-H_j) T_j^(w_j) as T^q diag(num_k) / den.
+
+    The rows' twists differ by integers (weights of a representation differ
+    by roots), so they fold to one q; rows that do not raise.
+    """
     n = rep.dim
-    r = rep.rank
-    rows = [[TwistedFunc.zero(ctx) for _ in range(n)] for _ in range(n)]
-    for k in range(n):
-        coeff = RatFunc.one()
-        exps = [Fraction(0)] * r
-        for j in range(r):
-            h = rep.H[j][k][k]
+    rows = [_fold(ctx, tuple(w[k][k] for w in rep.coweights)) for k in range(n)]
+    q = rows[0][0]
+    nums, dens = [], []
+    for k, (row_q, up, down) in enumerate(rows):
+        if row_q != q:
+            raise ValueError(f"row {k} of the weight diagonal has twist {row_q}, not {q}")
+        for entry, H in zip(entries, rep.H):
+            h = H[k][k]
             assert h.denominator == 1
-            coeff = coeff * RatFunc(entries[j]) ** (-int(h))
-            exps[j] += rep.coweights[j][k][k]
-        rows[k][k] = TwistedFunc.term(ctx, coeff, exps)
-    return TwistedMatrix(ctx, rows)
+            if h < 0:
+                up = up * entry ** int(-h)
+            elif h > 0:
+                down = down * entry ** int(h)
+        nums.append(up)
+        dens.append(down)
+    den = reduce(_lcm, dens)
+    num = [[nums[k] * (den // dens[k]) if k == c else Poly.zero() for c in range(n)] for k in range(n)]
+    return TwistedMatrix(ctx, q, num, den)
 
 
 def _verify(D: MiuraOper, rep: MatrixRep, Y: TwistedMatrix, label: str) -> None:
-    residual = apply_miura(D, rep, Y)
-    if not residual.is_zero():
-        bad = next(
-            (i, j, v)
-            for i, row in enumerate(residual.rows)
-            for j, v in enumerate(row)
-            if not v.is_zero()
-        )
-        raise VerificationError(f"{label}: D Y != 0 at entry {bad[0], bad[1]}: {bad[2]!r}")
+    R = apply_miura(D, rep, Y)
+    bad = [(i, j) for i, row in enumerate(R.num) for j, v in enumerate(row) if v]
+    if bad:
+        i, j = bad[0]
+        raise VerificationError(f"{label}: D Y != 0 at entry {i, j}: {R.rows[i][j]!r}")
 
 
-def solution_A(y: PolyTuple, p: ProblemData, rep: Optional[MatrixRep] = None) -> TwistedMatrix:
+def solution_A(y: PolyTuple, p: ProblemData) -> TwistedMatrix:
     """The SL(r+1)-valued solution built from the diagonal sequences.
 
     Verifies D Y = 0 exactly before returning.
@@ -388,8 +396,8 @@ def solution_A(y: PolyTuple, p: ProblemData, rep: Optional[MatrixRep] = None) ->
     if p.cartan.family != "A":
         raise UnsupportedTypeError("solution_A needs a type A problem")
     r = p.rank
-    if rep is None:
-        rep = default_rep(p)
+    rep = default_rep(p)
+    D = miura_from_tuple(y, p)
     ctx = twist_context(p)
     Y = _weight_diagonal(ctx, rep, y.polys)
     for i in range(1, r + 1):
@@ -397,7 +405,7 @@ def solution_A(y: PolyTuple, p: ProblemData, rep: Optional[MatrixRep] = None) ->
         for j, step in zip(range(i, r + 1), steps):
             g = RatFunc(step.diagonal, y[j - 1])
             Y = Y @ exp_generator(nested_bracket(rep, "F", i, j), g, ctx)
-    _verify(miura_from_tuple(y, p), rep, Y, "solution_A")
+    _verify(D, rep, Y, "solution_A")
     return Y
 
 
@@ -414,7 +422,7 @@ def fold_to_A(y: PolyTuple, p: ProblemData) -> tuple[PolyTuple, ProblemData]:
     return folded, pA
 
 
-def solution_BC(y: PolyTuple, p: ProblemData, rep: Optional[MatrixRep] = None) -> TwistedMatrix:
+def solution_BC(y: PolyTuple, p: ProblemData) -> TwistedMatrix:
     """The Sp(2r)-valued solution for a type B critical tuple.
 
     Uses both the native diagonal sequences and the folded sl_2r ones;
@@ -423,8 +431,8 @@ def solution_BC(y: PolyTuple, p: ProblemData, rep: Optional[MatrixRep] = None) -
     if p.cartan.family != "B":
         raise UnsupportedTypeError("solution_BC needs a type B problem")
     r = p.rank
-    if rep is None:
-        rep = default_rep(p)
+    rep = default_rep(p)
+    D = miura_from_tuple(y, p)
     ctx = twist_context(p)
     u, pA = fold_to_A(y, p)
     Y = _weight_diagonal(ctx, rep, y.polys)
@@ -445,7 +453,7 @@ def solution_BC(y: PolyTuple, p: ProblemData, rep: Optional[MatrixRep] = None) -
             Y = Y @ exp_generator(nested_bracket(rep, "Fstar", i, 2 * r - j), g, ctx)
     last = calibrated_sequence(y.polys, [r], p)
     Y = Y @ exp_generator(rep.F[r - 1], RatFunc(last[0].diagonal, y[r - 1]), ctx)
-    _verify(miura_from_tuple(y, p), rep, Y, "solution_BC")
+    _verify(D, rep, Y, "solution_BC")
     return Y
 
 
@@ -468,7 +476,6 @@ def _rep(family: str, rank: int) -> MatrixRep:
 def solution_general(
     y: PolyTuple,
     indices: Sequence[int],
-    rep: Optional[MatrixRep],
     p: ProblemData,
     shifts: Optional[Sequence[Fraction]] = None,
 ) -> list[TwistedFunc]:
@@ -478,8 +485,8 @@ def solution_general(
     rational shift per step).  Returns the vector of twisted coordinates;
     D_y Y = 0 is verified exactly before returning.
     """
-    if rep is None:
-        rep = default_rep(p)
+    rep = default_rep(p)
+    D = miura_from_tuple(y, p)
     ctx = twist_context(p)
     try:
         steps = calibrated_sequence(y.polys, indices, p, shifts=shifts)
@@ -493,11 +500,7 @@ def solution_general(
         left = left @ exp_generator(rep.E[i - 1], g, ctx)
         entries = step.entries
     diag = _weight_diagonal(ctx, rep, entries)
-    low_col = diag.column(rep.lowest)
-    vec = [
-        sum((a * b for a, b in zip(row, low_col)), TwistedFunc.zero(ctx))
-        for row in left.rows
-    ]
-    Y = TwistedMatrix(ctx, [[v] for v in vec])
-    _verify(miura_from_tuple(y, p), rep, Y, "solution_general")
-    return vec
+    low = TwistedMatrix(ctx, diag.q, [[row[rep.lowest]] for row in diag.num], diag.den)
+    Y = left @ low
+    _verify(D, rep, Y, "solution_general")
+    return Y.column(0)

@@ -1,11 +1,15 @@
+import hashlib
 import io
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from operpop import miura
 from operpop.cli import FIELDS, main, parse_problem
+from operpop.exactalg import Poly
 
 
 def write(tmp_path, name, doc):
@@ -152,6 +156,106 @@ class TestVerify:
         assert code == 0
         assert report["oper_pairings"] == "exact"
         assert report["verification"] == "DY=0: exact"
+
+
+class TestVerifyBuildsOneOper:
+    def test_failing_pairing_report(self, tmp_path, capsys, monkeypatch):
+        rhs = miura.wronskian_rhs
+        monkeypatch.setattr(miura, "wronskian_rhs", lambda y, i, p: rhs(y, i, p) * Poly([1, 1]))
+        path = write(tmp_path, "p.json", HALF)
+        code, report = run(["verify", path, "--path", "1"], tmp_path, capsys)
+        assert code == 1
+        assert list(report) == ["command", "problem", "generic", "oper_pairings", "elapsed_s"]
+        assert report["generic"] is True
+        assert report["oper_pairings"] == "oper pairing invariant failed in direction 1"
+
+    def test_one_oper_per_job(self, tmp_path, capsys, monkeypatch):
+        original, calls = miura.miura_from_tuple, []
+
+        def counted(y, p):
+            calls.append(p)
+            return original(y, p)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("operpop") and getattr(module, "miura_from_tuple", None) is original:
+                monkeypatch.setattr(module, "miura_from_tuple", counted)
+        path = write(tmp_path, "p.json", HALF)
+        code, report = run(["verify", path, "--path", "1"], tmp_path, capsys)
+        assert code == 0 and report["oper_pairings"] == "exact"
+        assert len(calls) == 1
+
+
+A2_DESK = {
+    "lie_type": "A", "rank": 2, "weights": [[1, 0], [0, 1]], "points": ["0", "1"],
+    "tuple": [["-1/3", "1"], ["-2/3", "1"]],
+}
+A3_DESK = {
+    "lie_type": "A", "rank": 3, "weights": [[1, 0, 0], [1, 0, 0]], "points": ["0", "1"],
+    "tuple": [["-1/2", "1"], ["1"], ["1"]],
+}
+B2_DESK = {
+    "lie_type": "B", "rank": 2, "weights": [[1, 0], [0, 1]], "points": ["0", "5"],
+    "tuple": [["-2", "1"], ["-4", "1"]],
+}
+B3_N0 = {"lie_type": "B", "rank": 3, "weights": [], "points": [], "tuple": [["1"], ["1"], ["1"]]}
+# samples of the zero-weight B3 cells with words [3, 2] and [3, 2, 3, 1, 2, 3, 1, 2, 1]
+B3_CELL_2 = dict(B3_N0, tuple=[["1"], ["0", "1"], ["1", "0", "0", "1"]])
+B3_CELL_9 = dict(B3_N0, tuple=[
+    ["0", "-32", "0", "10", "0", "1"],
+    ["-3616/45", "0", "1798/9", "0", "1327/9", "0", "5/3", "0", "1"],
+    ["0", "-12769/135", "0", "7910/81", "0", "-3259/27", "0", "-70/3", "0", "1"],
+])
+# (document, --path of the general builder)
+SOLUTION_CORPUS = {
+    "half": (HALF, "1"),
+    "a2": (A2_DESK, "1,2"),
+    "a3": (A3_DESK, "1,2,3"),
+    "b2": (B2_DESK, "2,1"),
+    "b3_cell_2": (B3_CELL_2, "3,2,1"),
+    "b3_cell_9": (B3_CELL_9, "3,2,1"),
+}
+# sha256 of json.dumps(report["solution"], sort_keys=True); recorded when each
+# solution entry was still built by twisted-field arithmetic, so the report
+# bytes do not depend on how a solution is held.
+SOLUTION_DIGESTS = {
+    "a2/solve": "18b30330379bc437bd2e43899fc09d5ed007aada9625b01fccfb6e2fec27ada9",
+    "a2/general": "143952fb3d8616337828b8e57c323fe013f2dc3a8969eb9e89056d9869a2b26f",
+    "a2/verify": "3c8b0b49887189a7055a5bc5d7749fc51b58506beb9c6031bf00014722464077",
+    "a3/solve": "db8d3d8cda318ba45328f4a0086924afac85cc26431cfe7bdb61cd2a370e0c56",
+    "a3/general": "06921ecb684aeda68d4e5492ddb51a49f46a01343c6b76d1db5ef948fa73d2ea",
+    "a3/verify": "79cb364c837f1c460fe48529dbf44e6721b11254e8800e1e8b337075e3c2a4d7",
+    "b2/solve": "00df38ea3ad2aeb4ce6a991f1792f6f50239202e7533a6e4672997c7b7cde1eb",
+    "b2/general": "bf87a5768979aaff90778a11ae044d7c2dda87e7eebd6a0bbe90b801b6352b48",
+    "b2/verify": "37c734cd1154cc3649d34a7a8e550de4b07112f579ea29a657c5d20a3c3e814e",
+    "b3_cell_2/solve": "d7db74cbc1e392c577cbf4fbeab97180827cf1ca5c795aa829c8b8dff54ba775",
+    "b3_cell_2/general": "cb42cb12b126edd42942bbe1da27b4f7adb92a333fdd5e8655ea2f458ff55d55",
+    "b3_cell_2/verify": "0665eab87579872678984aa65cdaf31fcb0c133d34c1345ce97a23c4642f6ff6",
+    "b3_cell_9/solve": "c2d05433fd289d25be0dabcff380279dff96ee29b2c9c3a42573d6adc1aef407",
+    "b3_cell_9/general": "cd1b942ebaa99526cd6cccedb36e9a2241549f76323557e980fe782873b3617f",
+    "b3_cell_9/verify": "94f7c028afd45708e9633a975a47e419e99d2a37788b7a300472a67c8c42c444",
+    "half/solve": "10fbd0c0ab56f818cdf6e0d87aacd3b61b859327f883ddf6107108b17cc0c4fb",
+    "half/general": "92c2360949a15b288e817b9bc4337b4bd5a65d8c501599f9e5ae34f1fd3c7d48",
+    "half/verify": "92c2360949a15b288e817b9bc4337b4bd5a65d8c501599f9e5ae34f1fd3c7d48",
+}
+
+
+def _solution_argv(name, command, path):
+    doc, general_path = SOLUTION_CORPUS[name]
+    if command == "solve":
+        return ["solve", path]
+    if command == "general":
+        return ["solve", path, "--rep", "general", "--path", general_path]
+    return ["verify", path, "--path", "1"]
+
+
+@pytest.mark.parametrize("name", sorted(SOLUTION_CORPUS))
+@pytest.mark.parametrize("command", ["solve", "general", "verify"])
+def test_solution_strings_are_pinned(name, command, tmp_path, capsys):
+    path = write(tmp_path, "p.json", SOLUTION_CORPUS[name][0])
+    code, report = run(_solution_argv(name, command, path), tmp_path, capsys)
+    assert code == 0 and report["verification"] == "DY=0: exact"
+    digest = hashlib.sha256(json.dumps(report["solution"], sort_keys=True).encode()).hexdigest()
+    assert digest == SOLUTION_DIGESTS[f"{name}/{command}"]
 
 
 class TestReportContract:

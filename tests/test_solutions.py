@@ -1,19 +1,22 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from operpop.exactalg import Poly, RatFunc
 from operpop.critical import PolyTuple, problem
 from operpop.miura import TwistedFunc, miura_from_tuple, twist_context
 from operpop.population import ReproductionError
+from operpop import solutions
 from operpop.solutions import (
     RepresentationError,
+    VerificationError,
     TwistedMatrix,
     UnsupportedTypeError,
     apply_miura,
     commutator,
+    default_rep,
     exp_generator,
-    exp_nilpotent,
     eye,
     fold_to_A,
     mat_is_zero,
@@ -113,8 +116,7 @@ class TestNestedBracket:
 class TestExpNilpotent:
     def test_exp_zero(self, half_problem):
         ctx = twist_context(half_problem)
-        M = TwistedMatrix.from_scalar_matrix(ctx, zeros(3))
-        assert exp_nilpotent(M) == TwistedMatrix.identity(ctx, 3)
+        assert exp_generator(zeros(3), RatFunc(X), ctx) == TwistedMatrix.identity(ctx, 3)
 
     def test_two_by_two(self, half_problem):
         ctx = twist_context(half_problem)
@@ -133,9 +135,8 @@ class TestExpNilpotent:
 
     def test_non_nilpotent_rejected(self, half_problem):
         ctx = twist_context(half_problem)
-        M = TwistedMatrix.from_scalar_matrix(ctx, eye(2))
         with pytest.raises(ValueError, match="nilpotent"):
-            exp_nilpotent(M)
+            exp_generator(eye(2), RatFunc(X), ctx)
 
 
 class TestSolutionA:
@@ -189,7 +190,8 @@ class TestSolutionA:
         ctx = twist_context(half_problem)
         rep = rep_standard_sl(2)
         Y = solution_A(half_tuple, half_problem)
-        g = TwistedMatrix.from_scalar_matrix(ctx, ((F(2), F(1)), (F(0), F(3))))
+        c = Poly.const
+        g = TwistedMatrix(ctx, [0], [[c(2), c(1)], [c(0), c(3)]], Poly.one())
         D = miura_from_tuple(half_tuple, half_problem)
         assert apply_miura(D, rep, Y @ g).is_zero()
 
@@ -272,19 +274,19 @@ class TestSolutionGeneral:
     def test_empty_path_lowest_vector(self):
         p = problem("A", 1)
         ctx = twist_context(p)
-        vec = solution_general(PolyTuple.constants(1), [], None, p)
+        vec = solution_general(PolyTuple.constants(1), [], p)
         assert vec[0].is_zero()
         assert vec[1] == TwistedFunc.one(ctx)
 
     def test_path_matches_solution_A_column(self, half_problem, half_tuple):
-        vec = solution_general(half_tuple, [1], None, half_problem)
+        vec = solution_general(half_tuple, [1], half_problem)
         Y = solution_A(half_tuple, half_problem)
         assert vec == Y.column(0)
 
     def test_sl3_exponent_lattice(self):
         p = problem("A", 2, [[1, 0], [0, 1]], [0, 1])
         y = PolyTuple([Poly([F(-1, 3), 1]), Poly([F(-2, 3), 1])])
-        vec = solution_general(y, [1, 2], None, p)
+        vec = solution_general(y, [1, 2], p)
         for v in vec:
             for q in v.exponent_vectors():
                 assert all((e * 3).denominator == 1 for e in q)
@@ -292,11 +294,11 @@ class TestSolutionGeneral:
     def test_invalid_path_errors(self):
         p = problem("A", 1, [[2]], [0])
         with pytest.raises(ReproductionError, match="invalid path"):
-            solution_general(PolyTuple([Poly([-1, 1])]), [1], None, p)
+            solution_general(PolyTuple([Poly([-1, 1])]), [1], p)
 
     def test_b2_long_path(self):
         p = problem("B", 2)
-        vec = solution_general(PolyTuple.constants(2), [1, 2, 1, 2], None, p)
+        vec = solution_general(PolyTuple.constants(2), [1, 2, 1, 2], p)
         assert len(vec) == 4
 
     def test_random_parameter_sequences(self, a2_problem, a2_tuple):
@@ -313,7 +315,7 @@ class TestSolutionGeneral:
         for p, y, path in cases:
             for _ in range(3):
                 shifts = [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in path]
-                vec = solution_general(y, path, None, p, shifts=shifts)
+                vec = solution_general(y, path, p, shifts=shifts)
                 assert any(not v.is_zero() for v in vec)
 
 
@@ -333,3 +335,137 @@ class TestApplyMiura:
         D = miura_from_tuple(half_tuple, half_problem)
         with pytest.raises(ValueError):
             apply_miura(D, rep_standard_sl(3), TwistedMatrix.identity(ctx, 2))
+
+
+# ---------------------------------------------------------------------------
+# T^q num/den against the twisted field it represents
+# ---------------------------------------------------------------------------
+
+A2_CTX = twist_context(problem("A", 2, [[1, 0], [0, 1]], [0, 1]))  # d = 3, T = (x, x - 1)
+SMALL = st.integers(-3, 3).map(F) | st.sampled_from([F(1, 2), F(-2, 3)])
+POLYS = st.lists(SMALL, max_size=3).map(Poly)
+DENS = st.tuples(st.lists(st.integers(-2, 2), max_size=2), st.sampled_from([F(1), F(-2), F(1, 3)]))
+TWISTS = st.lists(st.integers(-7, 7).map(lambda k: F(k, 3)), min_size=2, max_size=2)
+
+
+@st.composite
+def twisted_matrices(draw, rows, cols):
+    num = [[draw(POLYS) for _ in range(cols)] for _ in range(rows)]
+    roots, lead = draw(DENS)
+    return draw(TWISTS), num, Poly.from_roots(roots) * lead
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3), k=st.integers(1, 3), m=st.integers(1, 3))
+def test_product_matches_twisted_field(data, n, k, m):
+    # twists from (1/3)Z^2 reach below 0 and above 1, so the constructor and
+    # the product both fold integer parts into num or den
+    qa, num_a, den_a = data.draw(twisted_matrices(n, k))
+    qb, num_b, den_b = data.draw(twisted_matrices(k, m))
+    A = TwistedMatrix(A2_CTX, qa, num_a, den_a)
+    B = TwistedMatrix(A2_CTX, qb, num_b, den_b)
+    for i in range(n):
+        for j in range(k):
+            assert A.rows[i][j] == TwistedFunc.term(A2_CTX, RatFunc(num_a[i][j], den_a), qa)
+    a_rows, b_rows, product = A.rows, B.rows, (A @ B).rows
+    for i in range(n):
+        for j in range(m):
+            expected = TwistedFunc.zero(A2_CTX)
+            for t in range(k):
+                expected = expected + a_rows[i][t] * b_rows[t][j]
+            assert product[i][j] == expected
+
+
+def test_weight_diagonal_needs_one_twist(a2_problem, a2_tuple):
+    import dataclasses
+
+    rep = default_rep(a2_problem)
+    w1 = [list(row) for row in rep.coweights[0]]
+    w1[0][0] += F(1, 3)  # rows 0 and 1 of w_1 no longer differ by an integer
+    bad = dataclasses.replace(rep, coweights=(tuple(map(tuple, w1)),) + rep.coweights[1:])
+    with pytest.raises(ValueError, match="twist"):
+        solutions._weight_diagonal(twist_context(a2_problem), bad, a2_tuple.polys)
+
+
+def twisted_residual(y, p, rows):
+    """Y' + (sum F_i + sum c_j H_j) Y from rendered entries, in the twisted field."""
+    ctx, rep, D = twist_context(p), default_rep(p), miura_from_tuple(y, p)
+    n = rep.dim
+    M = [
+        [
+            sum((c * H[a][b] for c, H in zip(D.h_coords, rep.H)), RatFunc(sum(f[a][b] for f in rep.F)))
+            for b in range(n)
+        ]
+        for a in range(n)
+    ]
+    out = []
+    for a in range(n):
+        out_row = []
+        for j in range(len(rows[0])):
+            acc = rows[a][j].derivative()
+            for b in range(n):
+                acc = acc + TwistedFunc.from_rat(ctx, M[a][b]) * rows[b][j]
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+# (problem and tuple fixtures, or family and rank of a zero-weight problem; a path)
+RESIDUAL_CASES = {
+    "half": (("half_problem", "half_tuple"), [1]),
+    "a2": (("a2_problem", "a2_tuple"), [1, 2]),
+    "a3": (("a3_problem", "a3_tuple"), [1, 2, 3]),
+    "b2": (("b2_problem", "b2_tuple"), [2, 1]),
+    "a3_zero_weight": (("A", 3), [3, 2, 1]),
+    "b3_zero_weight": (("B", 3), [1, 2, 3]),
+}
+
+
+def _case(name, request):
+    (first, second), path = RESIDUAL_CASES[name]
+    if isinstance(second, int):
+        return problem(first, second), PolyTuple.constants(second), path
+    return request.getfixturevalue(first), request.getfixturevalue(second), path
+
+
+def _builders(p, y, path):
+    matrix = solution_A if p.cartan.family == "A" else solution_BC
+    yield matrix(y, p).rows
+    for indices in ([], path[:1], path):
+        yield [[v] for v in solution_general(y, indices, p)]
+
+
+@pytest.mark.parametrize("name", sorted(RESIDUAL_CASES))
+def test_solutions_solve_D_in_the_twisted_field(name, request):
+    p, y, path = _case(name, request)
+    for rows in _builders(p, y, path):
+        for row in twisted_residual(y, p, rows):
+            assert all(v.is_zero() for v in row)
+
+
+@pytest.mark.parametrize("name", ["half", "a2", "b2"])
+def test_an_entry_plus_one_is_caught(name, request, monkeypatch):
+    p, y, path = _case(name, request)
+    ctx = twist_context(p)
+    for rows in _builders(p, y, path):
+        rows = [list(row) for row in rows]
+        entry = rows[-1][-1]
+        (q, _), = entry.terms.items()
+        rows[-1][-1] = entry + TwistedFunc.term(ctx, RatFunc.one(), q)
+        assert any(not v.is_zero() for row in twisted_residual(y, p, rows) for v in row)
+
+    # the same change inside a builder: the last weight-diagonal entry + 1
+    weight_diagonal = solutions._weight_diagonal
+
+    def perturbed(ctx, rep, entries):
+        W = weight_diagonal(ctx, rep, entries)
+        num = [list(row) for row in W.num]
+        num[-1][-1] = num[-1][-1] + W.den
+        return TwistedMatrix(ctx, W.q, num, W.den)
+
+    monkeypatch.setattr(solutions, "_weight_diagonal", perturbed)
+    matrix = solution_A if p.cartan.family == "A" else solution_BC
+    with pytest.raises(VerificationError, match="D Y != 0"):
+        matrix(y, p)
+    with pytest.raises(VerificationError, match="D Y != 0"):
+        solution_general(y, path[:1], p)
