@@ -13,6 +13,18 @@ built from:
   None when there is none.  Fertility, calibrated reproduction steps and
   `rational_antiderivative(f)` are all this one question.
 
+`poly_gcd` first tries a certificate of coprimality mod the prime
+_P = 2^61 - 1.  It applies when _P divides no coefficient denominator of
+f and g and neither leading coefficient.  Suppose f = h*k over Q with h
+primitive in Z[x] and deg h >= 1.  Then k has _P-integral coefficients
+(Gauss's lemma over Z localised at _P), and h mod _P keeps its degree
+because _P does not divide lc f = lc h * lc k; so h mod _P divides the
+images of f and of g.  Hence a constant gcd of the images proves a
+constant gcd over Q, and `poly_gcd` returns 1 without Euclid over Q.  In
+every other case it runs Euclid over Q, so every answer is the exact
+monic gcd (Brown 1971; von zur Gathen & Gerhard, Modern Computer
+Algebra, ch. 6).
+
 `integrate_shape(N, y)` (the Hermite split N/y^2 = P' + (-A/y)' + B/y for
 squarefree monic y, via `poly_ext_gcd`) is kept as an independent
 reference that the engine does not call.
@@ -238,8 +250,63 @@ def binary_power(base, n: int):
     return result
 
 
+# The prime of the coprimality certificate in `poly_gcd`.
+_P = 2**61 - 1
+
+
+def _mod_p(f: Poly) -> Optional[list[int]]:
+    """f mod _P, leading coefficient first, or None if _P divides a
+    denominator or the leading coefficient of f."""
+    out = []
+    for c in reversed(f.coeffs):
+        n, d = c.numerator, c.denominator
+        if d != 1:
+            if d % _P == 0:
+                return None
+            n *= pow(d, -1, _P)
+        out.append(n % _P)
+    return out if out[0] else None
+
+
+def _coprime_mod_p(a: list[int], b: list[int]) -> bool:
+    """True iff Euclid mod _P on nonzero a, b (leading coefficient first,
+    nonzero) ends at a nonzero constant.
+
+    Each step takes the pseudo-remainder lc(b)^e * a mod b: scaling by the
+    unit lc(b) does not change the gcd, and it needs no inverse mod _P.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        b0, n = b[0], len(b)
+        a = list(a)
+        for k in range(len(a) - n + 1):
+            c = a[k]
+            if c:
+                for j in range(1, n):
+                    a[k + j] = (b0 * a[k + j] - c * b[j]) % _P
+                for j in range(k + n, len(a)):
+                    a[j] = b0 * a[j] % _P
+        rem = a[len(a) - n + 1 :]
+        while rem and not rem[0]:
+            del rem[0]
+        if not rem:
+            return False
+        a, b = b, rem
+    return True
+
+
 def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Monic gcd; gcd(0, 0) = 0."""
+    """Monic gcd; gcd(0, 0) = 0.
+
+    Answers 1 without Euclid over Q when the images of f and g mod _P are
+    coprime (the certificate of the module docstring); otherwise, and for
+    zero operands or operands that do not reduce mod _P, runs Euclid over Q.
+    """
+    if f.coeffs and g.coeffs:
+        fp, gp = _mod_p(f), _mod_p(g)
+        if fp is not None and gp is not None and _coprime_mod_p(fp, gp):
+            return Poly.one()
     a, b = f, g
     while not b.is_zero():
         a, b = b, a % b
@@ -399,11 +466,18 @@ def squarefree(f: Poly) -> bool:
 
 
 def log_derivative(f: Union[RatFunc, Poly]) -> RatFunc:
-    """f'/f in reduced form; additive under products."""
+    """f'/f in reduced form; additive under products.
+
+    For reduced f = num/den this is num'/num - den'/den, whose gcds are of
+    the size of f, where f'/f takes gcds of up to four times that size.
+    """
     f = _coerce(f)
     if f.is_zero():
         raise ValueError("log' of the zero function is undefined")
-    return f.derivative() / f
+    out = RatFunc(f.num.derivative(), f.num)
+    if f.den.degree() > 0:
+        out = out - RatFunc(f.den.derivative(), f.den)
+    return out
 
 
 # ---------------------------------------------------------------------------

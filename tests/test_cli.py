@@ -258,6 +258,41 @@ def test_solution_strings_are_pinned(name, command, tmp_path, capsys):
     assert digest == SOLUTION_DIGESTS[f"{name}/{command}"]
 
 
+POPULATE_CORPUS = {
+    "g2": {"lie_type": "G", "rank": 2, "weights": [[1, 0], [0, 1]], "points": ["0", "1"], "tuple": [["1"], ["1"]]},
+    "c3": {
+        "lie_type": "C", "rank": 3, "weights": [[1, 0, 0], [0, 0, 1]], "points": ["-1", "2"],
+        "tuple": [["1"], ["1"], ["1"]],
+    },
+    "b2": {
+        "lie_type": "B", "rank": 2, "weights": [[1, 0], [0, 1], [1, 1]], "points": ["0", "2", "-1"],
+        "tuple": [["1"], ["1"]],
+    },
+    "a4_n0": {"lie_type": "A", "rank": 4, "weights": [], "points": [], "tuple": [["1"]] * 4},
+    "b3_n0": B3_N0,
+}
+# sha256 of json.dumps(report, sort_keys=True) without elapsed_s; recorded
+# while every gcd still ran Euclid over Q, so cells, samples and the
+# exceptional records do not depend on how coprimality is decided.
+POPULATE_DIGESTS = {
+    "g2": "effbcb08edcb76002776de74717c7d576c0ce554bdee57749112c13b21e27c36",
+    "c3": "e458035a7ce17a4ddd96eed3740139ee3e5214ccd3971e8d1655d19b117493e9",
+    "b2": "abead9839f7ec9e0b9de8404cd818f7de5afc93dca83791cd68d02115bd8842b",
+    "a4_n0": "3d59a34b66d7c02fcf93e51e13fd81c864d54525ce6d8edfe56ff54a022ebebd",
+    "b3_n0": "8bbed12828d51cd8b02b9e7c9eb339e60996b74d89186f0334f787e4ca73edef",
+}
+
+
+@pytest.mark.parametrize("name", sorted(POPULATE_CORPUS))
+def test_populate_reports_are_pinned(name, tmp_path, capsys):
+    path = write(tmp_path, "p.json", POPULATE_CORPUS[name])
+    code, report = run(["populate", path], tmp_path, capsys)
+    assert code == 0
+    report.pop("elapsed_s")
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == POPULATE_DIGESTS[name]
+
+
 class TestReportContract:
     def test_round_trip(self, tmp_path, capsys):
         path = write(tmp_path, "p.json", dict(HALF, path=[1]))

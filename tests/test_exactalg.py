@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from operpop.exactalg import (
+    _P,
     Poly,
     RatFunc,
     integrate_shape,
@@ -63,6 +65,48 @@ class TestPoly:
         assert p(F(1, 2)) == F(1, 4) - F(1, 4) + F(1, 4)
         assert p.antiderivative().derivative() == p
         assert p.antiderivative()(0) == 0
+
+
+def euclid_steps(monkeypatch):
+    """Count the divisions over Q made from here on."""
+    calls = []
+    divmod_q = Poly.__divmod__
+    monkeypatch.setattr(Poly, "__divmod__", lambda a, b: calls.append(1) or divmod_q(a, b))
+    return calls
+
+
+class TestGcdCertificate:
+    def test_coprime_needs_no_euclid_over_q(self, monkeypatch):
+        f = Poly.from_roots([1, 2, 3]) * F(2, 7)
+        g = Poly.from_roots([4, F(5, 3)])
+        calls = euclid_steps(monkeypatch)
+        assert poly_gcd(f, g) == Poly.one()
+        assert squarefree(f)
+        assert calls == []
+
+    def test_unlucky_prime_falls_back(self, monkeypatch):
+        # x - 3 and x - 3 - _P have the same image mod _P
+        calls = euclid_steps(monkeypatch)
+        assert poly_gcd(Poly([-3, 1]), Poly([-3 - _P, 1])) == Poly.one()
+        assert calls
+
+    def test_leading_coefficient_divisible_by_p(self):
+        # h mod _P is the constant 1, so the images of f and g are coprime
+        h = Poly([1, _P])
+        f, g = h * X, h * (X + Poly.one())
+        assert poly_gcd(f, g) == Poly([F(1, _P), 1])
+
+    def test_denominator_divisible_by_p(self):
+        h = Poly([F(1, _P), 1])
+        assert poly_gcd(h * X, h * (X + Poly.one())) == h
+
+    def test_zero_and_constant_operands(self):
+        g = Poly([2, 0, 6])
+        assert poly_gcd(Poly.zero(), Poly.zero()) == Poly.zero()
+        assert poly_gcd(Poly.zero(), g) == g.monic()
+        assert poly_gcd(g, Poly.zero()) == g.monic()
+        assert poly_gcd(Poly.const(F(3, 5)), g) == Poly.one()
+        assert poly_gcd(g, Poly.const(_P)) == Poly.one()
 
 
 class TestWronskian:
@@ -188,6 +232,29 @@ class TestLogDerivative:
             rhs = log_derivative(RatFunc(f)) + log_derivative(RatFunc(g))
             assert lhs == rhs
             done += 1
+
+
+SCALARS = st.builds(F, st.integers(-5, 5), st.integers(1, 4))
+NONZERO_POLYS = st.lists(SCALARS, max_size=4).map(Poly).filter(bool)
+
+
+@st.composite
+def log_derivative_inputs(draw):
+    """Polys and RatFuncs, with repeated factors and constant num or den."""
+    num, den = draw(NONZERO_POLYS), draw(NONZERO_POLYS)
+    if draw(st.booleans()):
+        num = num * draw(NONZERO_POLYS) ** 2
+    if draw(st.booleans()):
+        den = den * draw(NONZERO_POLYS) ** 3
+    return draw(st.sampled_from([num, RatFunc(num, den), RatFunc(Poly.one(), den)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_derivative_inputs())
+def test_log_derivative_is_derivative_over_f(f):
+    lhs = log_derivative(f)
+    f = RatFunc(f) if isinstance(f, Poly) else f
+    assert lhs == f.derivative() / f
 
 
 class TestRationalAntiderivative:

@@ -113,6 +113,7 @@ class TestExplore:
         [
             ("A", 1, 2), ("A", 2, 6), ("B", 2, 8), ("G", 2, 12),
             ("A", 3, 24), ("A", 4, 120), ("B", 3, 48), ("C", 3, 48), ("D", 4, 192),
+            ("A", 5, 720), ("B", 4, 384), ("C", 4, 384),
         ],
     )
     def test_cell_counts(self, family, rank, count):

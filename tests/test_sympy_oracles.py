@@ -11,7 +11,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.integrals.rationaltools import ratint
 
-from operpop.exactalg import Poly, poly_gcd, squarefree, wronskian, wronskian_partner
+from operpop.exactalg import _P, Poly, poly_gcd, squarefree, wronskian, wronskian_partner
 
 x = sympy.Symbol("x")
 
@@ -59,10 +59,14 @@ def test_wronskian_partner_against_ratint(y, u0, other, fertile):
 
 @st.composite
 def poly_pairs(draw):
+    """Pairs with or without a common factor; some are shifted by _P * x^k,
+    so that their images mod _P coincide or lose the leading term."""
     f, g = draw(polys(4)), draw(polys(4))
     if draw(st.booleans()):
         h = draw(polys(2, nonzero=True))
         f, g = f * h, g * h
+    if draw(st.booleans()):
+        g = g + Poly([0] * draw(st.integers(0, 6)) + [_P])
     return f, g
 
 
