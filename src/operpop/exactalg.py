@@ -1,11 +1,16 @@
 """Exact univariate polynomial and rational-function arithmetic over Q.
 
-Scalars are `fractions.Fraction` throughout (arbitrary precision, always
-stored reduced with a positive denominator, which is exactly the invariant
-we need).  Polynomials are dense ascending coefficient tuples; rational
-functions are kept reduced with a monic denominator.  On top of the ring
-operations the module provides the two primitives everything else is
-built from:
+A polynomial is stored as a list of Python int numerators (ascending
+powers) over one positive int denominator, in a normal form that makes
+the stored pair unique: no trailing zero numerator, gcd(den, *nums) = 1,
+and den = 1 for zero.  `==` and `hash` compare the pair, and the ring
+operations, `derivative` and `monic` work on ints only; `.coeffs`,
+`coeff`, `leading` and evaluation hand out `fractions.Fraction`s.
+Division is a pseudo-division on the numerators, s * a = Q * b + R with s
+a divisor of lc(b)^(deg a - deg b + 1), followed by one division of Q and
+R by a scalar.  Rational functions are kept reduced with a monic
+denominator.  On top of the ring operations the module provides the two
+primitives everything else is built from:
 
 * `wronskian(f, g) = f'g - fg'`,
 * `wronskian_partner(y, N)`: the polynomial u with W(y, u) = N, found by
@@ -14,16 +19,19 @@ built from:
   `rational_antiderivative(f)` are all this one question.
 
 `poly_gcd` first tries a certificate of coprimality mod the prime
-_P = 2^61 - 1.  It applies when _P divides no coefficient denominator of
-f and g and neither leading coefficient.  Suppose f = h*k over Q with h
+_P = 2^61 - 1.  It applies when _P divides neither stored denominator nor
+either leading numerator, i.e. no coefficient denominator of f and g and
+neither leading coefficient; `_mod_p` then takes one inverse of the
+denominator mod _P per polynomial.  Suppose f = h*k over Q with h
 primitive in Z[x] and deg h >= 1.  Then k has _P-integral coefficients
 (Gauss's lemma over Z localised at _P), and h mod _P keeps its degree
 because _P does not divide lc f = lc h * lc k; so h mod _P divides the
 images of f and of g.  Hence a constant gcd of the images proves a
 constant gcd over Q, and `poly_gcd` returns 1 without Euclid over Q.  In
-every other case it runs Euclid over Q, so every answer is the exact
-monic gcd (Brown 1971; von zur Gathen & Gerhard, Modern Computer
-Algebra, ch. 6).
+every other case it runs Euclid over Q through `divmod`, keeping the
+primitive part of each remainder (a primitive remainder sequence), so
+every answer is the exact monic gcd (Brown 1971; von zur Gathen &
+Gerhard, Modern Computer Algebra, ch. 6).
 
 `integrate_shape(N, y)` (the Hermite split N/y^2 = P' + (-A/y)' + B/y for
 squarefree monic y, via `poly_ext_gcd`) is kept as an independent
@@ -35,6 +43,7 @@ Everything here is pure value arithmetic; no floats, no global state.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 Scalar = Fraction
@@ -53,103 +62,149 @@ def as_scalar(value: ScalarLike) -> Fraction:
 
 
 class Poly:
-    """Dense univariate polynomial with Fraction coefficients, ascending.
+    """Dense univariate polynomial over Q, ascending.
 
-    The zero polynomial has an empty coefficient tuple; otherwise the
-    trailing (leading-power) coefficient is nonzero.
+    Stored as int numerators `_num` over one positive int denominator
+    `_den`, in the normal form of the module docstring; `.coeffs` and the
+    other scalar accessors hand out `Fraction`s.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Iterable[ScalarLike] = ()):
-        cs = [as_scalar(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        cs = [c if type(c) is int else as_scalar(c) for c in coeffs]
+        den = 1
+        for c in cs:
+            d = c.denominator
+            if den % d:
+                den = den // gcd(den, d) * d
+        nums = [c.numerator * (den // c.denominator) for c in cs]
+        while nums and not nums[-1]:
+            nums.pop()
+        # den is the lcm of the reduced denominators, so the form is normal
+        self._num: list[int] = nums
+        self._den: int = den
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def const(cls, c: ScalarLike) -> "Poly":
-        return cls((as_scalar(c),))
+        return cls((c,))
 
     @classmethod
     def x(cls) -> "Poly":
-        return cls((Fraction(0), Fraction(1)))
+        return _raw([0, 1], 1)
 
     @classmethod
     def from_roots(cls, roots: Sequence[ScalarLike]) -> "Poly":
         out = cls.one()
         for root in roots:
-            out = out * cls((-as_scalar(root), Fraction(1)))
+            out = out * cls((-as_scalar(root), 1))
         return out
 
     @classmethod
     def zero(cls) -> "Poly":
-        return cls(())
+        return _raw([], 1)
 
     @classmethod
     def one(cls) -> "Poly":
-        return cls((Fraction(1),))
+        return _raw([1], 1)
 
     # -- structure ----------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self._den
+        if den == 1:
+            return tuple(map(Fraction, self._num))
+        return tuple(Fraction(n, den) for n in self._num)
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self._num:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self._num[-1], self._den)
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return bool(self._num) and self._num[-1] == self._den
 
     def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return Fraction(self._num[k], self._den) if 0 <= k < len(self._num) else Fraction(0)
 
     def monic(self) -> "Poly":
-        if self.is_zero():
+        if not self._num:
             raise ValueError("cannot normalize the zero polynomial")
-        lead = self.coeffs[-1]
-        if lead == 1:
+        lead = self._num[-1]
+        if lead == self._den:
             return self
-        return Poly(c / lead for c in self.coeffs)
+        if lead < 0:
+            return _poly([-c for c in self._num], -lead)
+        return _poly(self._num, lead)
 
     # -- ring operations ----------------------------------------------
 
-    def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
+    def _plus(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign * other."""
+        a, b = self._num, other._num
+        if not b:
+            return self
+        if not a:
+            return other if sign > 0 else -other
+        den, mb = self._den, sign
+        if den != other._den:
+            g = gcd(den, other._den)
+            ma = other._den // g
+            mb *= den // g
+            if ma != 1:
+                a = [c * ma for c in a]
+                den *= ma
+        if mb != 1:
+            b = [c * mb for c in b]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        out = [x + y for x, y in zip(a, b)]
+        out += a[len(b) :]
+        return _poly(out, den)
+
+    def __add__(self, other: "Poly") -> "Poly":
+        return self._plus(other, 1)
 
     def __neg__(self) -> "Poly":
-        return Poly(-c for c in self.coeffs)
+        return _raw([-c for c in self._num], self._den)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __mul__(self, other: Union["Poly", ScalarLike]) -> "Poly":
+        a = self._num
         if not isinstance(other, Poly):
-            s = as_scalar(other)
-            return Poly(c * s for c in self.coeffs)
-        if self.is_zero() or other.is_zero():
-            return Poly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+            s = other if isinstance(other, (int, Fraction)) else as_scalar(other)
+            p, q = s.numerator, s.denominator
+            if not p or not a:
+                return _raw([], 1)
+            # cancel p against _den and q against the content: normal as built
+            g, h = gcd(p, self._den), gcd(q, *a)
+            if h != 1:
+                a = [c // h for c in a]
+            p //= g
+            return _raw([c * p for c in a], self._den // g * (q // h))
+        b = other._num
+        if not a or not b:
+            return _raw([], 1)
+        if len(a) > len(b):
+            a, b = b, a
+        nb = len(b)
+        out = [0] * (len(a) + nb - 1)
+        for i, x in enumerate(a):
+            if x:
+                out[i : i + nb] = [o + x * y for o, y in zip(out[i : i + nb], b)]
+        return _poly(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -159,21 +214,38 @@ class Poly:
         return binary_power(self, n) if n else Poly.one()
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero():
+        """Pseudo-division s * a = Q * b + R on the numerators, then one
+        division of Q and R by a scalar.
+
+        Each step multiplies by lc(b) / gcd(lc(b), top) only, so s divides
+        lc(b)^(deg a - deg b + 1) and is 1 when lc(b) divides every top.
+        """
+        b = other._num
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
+        n = len(b) - 1
+        dq = len(self._num) - 1 - n
         if dq < 0:
-            return Poly.zero(), self
-        quot = [Fraction(0)] * (dq + 1)
-        dlead = other.coeffs[-1]
+            return _raw([], 1), self
+        rem = list(self._num)
+        quot = [0] * (dq + 1)
+        lc, low, scale = b[-1], b[:-1], 1
         for k in range(dq, -1, -1):
-            c = rem[k + len(other.coeffs) - 1] / dlead
+            r = rem[k + n]
+            if not r:
+                continue
+            g = gcd(r, lc) if lc > 0 else -gcd(r, lc)
+            m, c = lc // g, r // g
+            if m != 1:
+                scale *= m
+                rem[: k + n] = [x * m for x in rem[: k + n]]
+                quot[k + 1 :] = [x * m for x in quot[k + 1 :]]
             quot[k] = c
-            if c != 0:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= c * b
-        return Poly(quot), Poly(rem[: len(other.coeffs) - 1])
+            rem[k : k + n] = [x - c * y for x, y in zip(rem[k : k + n], low)]
+        den = scale * self._den
+        if other._den != 1:
+            quot = [x * other._den for x in quot]
+        return _poly(quot, den), _poly(rem[:n], den)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -182,7 +254,8 @@ class Poly:
         return divmod(self, other)[1]
 
     def derivative(self) -> "Poly":
-        return Poly(k * c for k, c in enumerate(self.coeffs) if k > 0)
+        a = self._num
+        return _poly([k * a[k] for k in range(1, len(a))], self._den)
 
     def antiderivative(self) -> "Poly":
         """Antiderivative with zero constant term."""
@@ -200,13 +273,13 @@ class Poly:
     # -- comparisons / hashing -----------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return isinstance(other, Poly) and self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self._den, *self._num))
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._num)
 
     def __repr__(self) -> str:
         return f"Poly({self})"
@@ -214,9 +287,10 @@ class Poly:
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
+        cs = self.coeffs
         parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
+        for k in range(len(cs) - 1, -1, -1):
+            c = cs[k]
             if c == 0:
                 continue
             if k == 0:
@@ -234,6 +308,43 @@ class Poly:
         for term in parts[1:]:
             out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
         return out
+
+
+def _raw(nums: list[int], den: int) -> Poly:
+    """The Poly nums / den; the pair must already be in normal form."""
+    p = object.__new__(Poly)
+    p._num, p._den = nums, den
+    return p
+
+
+def _poly(nums: list[int], den: int) -> Poly:
+    """The Poly nums / den for any nonzero den; strips nums in place."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        return _raw(nums, 1)
+    if den != 1:
+        if den < 0:
+            nums, den = [-c for c in nums], -den
+        g = gcd(den, *nums)
+        if g != 1:
+            nums, den = [c // g for c in nums], den // g
+    return _raw(nums, den)
+
+
+def _primitive(f: Poly) -> Poly:
+    """f over the gcd of its numerators, leading numerator positive: the
+    same for f and g exactly when g is a nonzero rational multiple of f.
+    Zero stays zero."""
+    nums = f._num
+    if not nums:
+        return f
+    g = gcd(*nums)
+    if nums[-1] < 0:
+        g = -g
+    if g == 1 and f._den == 1:
+        return f
+    return _raw([c // g for c in nums], 1)
 
 
 def binary_power(base, n: int):
@@ -255,17 +366,13 @@ _P = 2**61 - 1
 
 
 def _mod_p(f: Poly) -> Optional[list[int]]:
-    """f mod _P, leading coefficient first, or None if _P divides a
-    denominator or the leading coefficient of f."""
-    out = []
-    for c in reversed(f.coeffs):
-        n, d = c.numerator, c.denominator
-        if d != 1:
-            if d % _P == 0:
-                return None
-            n *= pow(d, -1, _P)
-        out.append(n % _P)
-    return out if out[0] else None
+    """f mod _P, leading coefficient first, or None if _P divides the
+    denominator or the leading numerator of f."""
+    den, nums = f._den, f._num
+    if not den % _P or not nums[-1] % _P:
+        return None
+    inv = pow(den, -1, _P)
+    return [c * inv % _P for c in reversed(nums)]
 
 
 def _coprime_mod_p(a: list[int], b: list[int]) -> bool:
@@ -301,15 +408,16 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
 
     Answers 1 without Euclid over Q when the images of f and g mod _P are
     coprime (the certificate of the module docstring); otherwise, and for
-    zero operands or operands that do not reduce mod _P, runs Euclid over Q.
+    zero operands or operands that do not reduce mod _P, runs Euclid over Q
+    on primitive remainders.
     """
-    if f.coeffs and g.coeffs:
+    if f and g:
         fp, gp = _mod_p(f), _mod_p(g)
         if fp is not None and gp is not None and _coprime_mod_p(fp, gp):
             return Poly.one()
     a, b = f, g
-    while not b.is_zero():
-        a, b = b, a % b
+    while b:
+        a, b = b, _primitive(a % b)
     if a.is_zero():
         return a
     return a.monic()
@@ -497,24 +605,36 @@ def wronskian_partner(y: Poly, N: Poly) -> Optional[Poly]:
     """
     if y.is_zero():
         raise ValueError("wronskian_partner needs a nonzero y")
-    ys = y.coeffs
+    # W(y, u) = N is W(ys, v) = ns for y = ys/dy, N = ns/dn, u = v dy/dn;
+    # u and rem hold `scale` times their values, so every step is on ints
+    ys = y._num
     d = len(ys) - 1
     lead = ys[-1]
-    rem = list(N.coeffs)
-    u = [Fraction(0)] * max(len(rem) + 1 - d, 0)
+    rem = list(N._num)
+    u = [0] * max(len(rem) + 1 - d, 0)
+    scale = 1
     for k in range(len(u) - 1, -1, -1):
         if k == d:
             continue
-        c = rem[d + k - 1] / ((d - k) * lead)
-        if c == 0:
+        r = rem[d + k - 1]
+        if not r:
             continue
+        t = (d - k) * lead
+        g = gcd(r, t) if t > 0 else -gcd(r, t)
+        m, c = t // g, r // g
+        if m != 1:
+            scale *= m
+            rem = [x * m for x in rem]
+            u = [x * m for x in u]
         u[k] = c
         for i, yi in enumerate(ys):
             if yi and i != k:
                 rem[i + k - 1] -= c * (i - k) * yi
     if any(rem):
         return None
-    partner = Poly(u)
+    if y._den != 1:
+        u = [x * y._den for x in u]
+    partner = _poly(u, scale * N._den)
     shift = (partner // y).coeff(0)
     return partner - y * shift if shift else partner
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactalg import Poly, wronskian, wronskian_partner
+from .exactalg import Poly, _primitive, wronskian, wronskian_partner
 from .critical import (
     FertilityError,
     PolyTuple,
@@ -97,9 +97,8 @@ class ReproductionPath:
 
 
 def _proportional(f: Poly, g: Poly) -> bool:
-    if f.is_zero() or g.is_zero():
-        return f.is_zero() and g.is_zero()
-    return f * g.leading() == g * f.leading()
+    """f = c g for a nonzero rational c (or both zero)."""
+    return _primitive(f) == _primitive(g)
 
 
 def reproduce_path(

@@ -293,6 +293,49 @@ def test_populate_reports_are_pinned(name, tmp_path, capsys):
     assert digest == POPULATE_DIGESTS[name]
 
 
+
+# (document, extra argv) for check and descend reports with rational
+# canonical partners, Bethe residuals and descendants.
+CHECK_DESCEND_CORPUS = {
+    "check/half": (HALF, []),
+    "check/a2": (dict(A2_DESK, bethe=[["1/3"], ["2/3"]]), []),
+    "check/a2_off": (dict(A2_DESK, bethe=[["1/5"], ["7/3"]]), []),
+    "check/b2": (dict(B2_DESK, bethe=[["2"], ["4"]]), []),
+    "check/b2_half": (dict(B2_DESK, points=["0", "5/2"], tuple=[["-1", "1"], ["-2", "1"]], bethe=[["1"], ["2"]]), []),
+    "check/b3_cell_9": (B3_CELL_9, []),
+    "descend/half": (HALF, ["--direction", "1", "--param=2/3:-5/7"]),
+    "descend/a2": (A2_DESK, ["--direction", "2", "--param=1/3:2"]),
+    "descend/b2": (B2_DESK, ["--direction", "1", "--param=1:0"]),
+    "descend/b3_cell_9": (B3_CELL_9, ["--direction", "1", "--param=-3/2:1/5"]),
+    "descend/b3_cell_9_d3": (B3_CELL_9, ["--direction", "3", "--param=2:-1/3"]),
+}
+# sha256 of json.dumps(report, sort_keys=True) without elapsed_s; recorded
+# while polynomial coefficients were still held as Fractions.
+CHECK_DESCEND_DIGESTS = {
+    "check/half": "1384374d037b465e5507e084553f2ee148e08c1533fa445d2ecfca34587240c9",
+    "check/a2": "adc1254c4ff2bb471d3e69da426f3a1e1286acf8e92ec37ca79c47806dc43d40",
+    "check/a2_off": "b2f758acb2f96be6c8146eef2f48915e9a7b4d8dcdcd16a013b6ac98f505b85a",
+    "check/b2": "3168e3fa4703f5e4b9b3a2f4bf48b6cee245f8f37ead1bbed0a4a702ebcd6c0c",
+    "check/b2_half": "745d9b9e8270a7163393c86cd3d051db01b21073602a1cfd55710cfb97e8e330",
+    "check/b3_cell_9": "f19195156ec861e2b2b5565b1003f1aca2d15177c1ec6f2d3e9532ad9cb98063",
+    "descend/half": "0861ced92cec17d5a9d0a6f1ee6fe76bd4a3b7591493a27c3ebf5ecb0d8a7bfb",
+    "descend/a2": "65aafd44629a56b9ed7656e8cc3c836cb404a262bc2213707352eda380fca5ec",
+    "descend/b2": "a054e8b2e929c1aa743c50c6d0349fd360a488377c26ea49b0b5e91b6d8d22a6",
+    "descend/b3_cell_9": "6b40292bac253530765eae0452e902c84e3db4764a9b2d2d224b9fdbc261aa82",
+    "descend/b3_cell_9_d3": "b3e7169b23ff6db4786511d774f95294e9ee458495c59a8a37bc46e9e75eb985",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_DESCEND_CORPUS))
+def test_check_and_descend_reports_are_pinned(name, tmp_path, capsys):
+    doc, extra = CHECK_DESCEND_CORPUS[name]
+    path = write(tmp_path, "p.json", doc)
+    code, report = run([name.split("/")[0], path, *extra], tmp_path, capsys)
+    assert code == 0
+    report.pop("elapsed_s")
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == CHECK_DESCEND_DIGESTS[name]
+
 class TestReportContract:
     def test_round_trip(self, tmp_path, capsys):
         path = write(tmp_path, "p.json", dict(HALF, path=[1]))

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -65,6 +66,85 @@ class TestPoly:
         assert p(F(1, 2)) == F(1, 4) - F(1, 4) + F(1, 4)
         assert p.antiderivative().derivative() == p
         assert p.antiderivative()(0) == 0
+
+
+class TestRepresentation:
+    """One stored form per polynomial, whatever it was built from."""
+
+    SPELLINGS = [
+        [F(1, 2), -3, 0, F(5, 7)],
+        [F(2, 4), F(-6, 2), F(0, 9), F(10, 14)],
+        ["1/2", "-3", "0", "5/7"],
+        ["2/4", -3, F(0), "10/14"],
+        [F(1, 2), "-6/2", 0, F(5, 7), 0, "0/3"],
+    ]
+
+    def test_spellings_agree(self):
+        polys = [Poly(cs) for cs in self.SPELLINGS]
+        polys.append(Poly([F(1, 2), -3]) + X**3 * F(5, 7))
+        first = polys[0]
+        for p in polys[1:]:
+            assert p == first and hash(p) == hash(first)
+            assert str(p) == str(first) == "5/7*x^3 - 3*x + 1/2"
+            assert p.coeffs == first.coeffs
+
+    def test_coeffs_are_fractions(self):
+        for p in (Poly([1, 2, 3]), Poly(["1/3", 2]), Poly.x() * F(2, 3), Poly.zero()):
+            assert type(p.coeffs) is tuple
+            assert all(type(c) is F for c in p.coeffs)
+        p = Poly([F(-1, 6), 0, F(3, 4)])
+        assert p.coeffs == (F(-1, 6), F(0), F(3, 4))
+        assert type(p.leading()) is F and type(p.coeff(1)) is F and type(p(2)) is F
+
+    def test_zero(self):
+        for z in (Poly([0, 0]), Poly(["0", F(0, 5)]), Poly([F(1, 3)]) - Poly([F(1, 3)]), Poly.zero()):
+            assert z.is_zero() and not z and z.degree() == -1
+            assert z == Poly.zero() and hash(z) == hash(Poly.zero())
+            assert z.coeffs == () and str(z) == "0"
+
+    def test_poly_tuple_key_survives_cli_round_trip(self):
+        from operpop.cli import echo_problem, parse_problem
+
+        doc = {
+            "lie_type": "A", "rank": 2, "weights": [[1, 0], [0, 1]], "points": ["0", "1"],
+            "tuple": [["-2/6", "1"], [-4, "2"]],
+        }
+        p, y, extras = parse_problem(doc)
+        table = {y: "seed"}
+        _, y2, _ = parse_problem(echo_problem(p, y, extras))
+        assert y2 == y and hash(y2) == hash(y)
+        assert table[y2] == "seed"
+
+
+NORMAL_SCALARS = st.builds(F, st.integers(-(2**70), 2**70), st.integers(1, 2**70)) | st.integers(-3, 3)
+NORMAL_POLYS = st.lists(NORMAL_SCALARS, max_size=5).map(Poly)
+
+
+def assert_normal(p):
+    """Positive denominator, nonzero top numerator, gcd(den, *nums) = 1,
+    den = 1 for zero."""
+    nums, den = p._num, p._den
+    assert all(type(c) is int for c in nums) and type(den) is int and den > 0
+    if nums:
+        assert nums[-1] != 0 and math.gcd(den, *nums) == 1
+    else:
+        assert den == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(NORMAL_POLYS, NORMAL_POLYS.filter(bool), NORMAL_SCALARS)
+def test_every_operation_returns_the_normal_form(f, g, c):
+    q, r = divmod(f, g)
+    results = [f + g, f - g, -f, f * g, f * c, c * f, q, r, f.derivative(), f.antiderivative(), g.monic()]
+    results += [poly_gcd(f, g), wronskian(f, g)]
+    if c:
+        # scalars that share factors with the content and the denominator
+        back = f * c * (1 / F(c))
+        assert back == f
+        results += [back, f * F(c).denominator * F(c)]
+    for p in results:
+        assert_normal(p)
+        assert Poly(p.coeffs) == p
 
 
 def euclid_steps(monkeypatch):

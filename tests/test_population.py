@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from operpop.exactalg import Poly, wronskian, wronskian_partner
 from operpop.critical import PolyTuple, build_T, fertility_direction, is_generic, problem
@@ -237,3 +238,38 @@ class TestFertilityPropagation:
                         ok = False
                     fertile += ok
                 assert fertile >= 18
+
+
+# Scalars with numerators and denominators of up to about 200 bits.
+BIG = st.builds(F, st.integers(-(2**200), 2**200), st.integers(1, 2**200))
+BIG_POLYS = st.lists(BIG | st.integers(-3, 3), max_size=5).map(Poly)
+
+
+@st.composite
+def proportional_pairs(draw):
+    """(f, g): g a scalar multiple of f, one off by a monomial, a zero
+    operand, or unrelated."""
+    f = draw(BIG_POLYS)
+    kind = draw(st.sampled_from(["multiple", "perturbed", "zero", "unrelated"]))
+    if kind == "multiple":
+        return f, f * draw(BIG.filter(bool))
+    if kind == "perturbed":
+        scale = draw(st.just(1) | BIG.filter(bool))
+        return f, f * scale + Poly([0] * draw(st.integers(0, 5)) + [draw(st.integers(-2, 2))])
+    if kind == "zero":
+        return draw(st.sampled_from([(f, Poly.zero()), (Poly.zero(), f)]))
+    return f, draw(BIG_POLYS)
+
+
+def _proportional_by_products(f, g):
+    """The product form: f * lc(g) == g * lc(f) over Q."""
+    if f.is_zero() or g.is_zero():
+        return f.is_zero() and g.is_zero()
+    return f * g.leading() == g * f.leading()
+
+
+@settings(max_examples=300, deadline=None)
+@given(proportional_pairs())
+def test_proportional_matches_product_form(pair):
+    f, g = pair
+    assert population._proportional(f, g) == _proportional_by_products(f, g)

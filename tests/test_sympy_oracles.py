@@ -1,8 +1,8 @@
 """Engine-independent oracles: sympy checks the exact polynomial layer.
 
-The expected values are computed in sympy alone (its own gcd, derivative,
-division and rational integration); the engine's answers are only
-converted to sympy expressions for the comparison.
+The expected values are computed in sympy alone (its own ring operations,
+gcd, derivative, division, cancellation and rational integration); the
+engine's answers are only converted to sympy for the comparison.
 """
 
 from fractions import Fraction as F
@@ -11,7 +11,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.integrals.rationaltools import ratint
 
-from operpop.exactalg import _P, Poly, poly_gcd, squarefree, wronskian, wronskian_partner
+from operpop.exactalg import _P, Poly, RatFunc, poly_gcd, squarefree, wronskian, wronskian_partner
 
 x = sympy.Symbol("x")
 
@@ -87,3 +87,69 @@ def test_squarefree_against_sympy(f, h, repeat):
         f = f * h**2
     sf = to_sympy(f)
     assert squarefree(f) == (sympy.degree(sympy.gcd(sf, sympy.diff(sf, x)), x) == 0)
+
+
+# Ring-layer draws: small scalars, scalars of up to about 200 bits, and
+# scalars whose denominator is divisible by _P.
+BIG_SCALARS = st.builds(F, st.integers(-(2**200), 2**200), st.integers(1, 2**200))
+P_SCALARS = st.builds(lambda n, d: F(n, d * _P), st.integers(-9, 9), st.integers(1, 9))
+RING_SCALARS = SCALARS | BIG_SCALARS | P_SCALARS
+
+
+def ring_polys(max_degree, nonzero=False):
+    out = st.lists(RING_SCALARS, max_size=max_degree + 1).map(Poly)
+    return out.filter(lambda p: not p.is_zero()) if nonzero else out
+
+
+def qq(p: Poly) -> sympy.Poly:
+    return sympy.Poly(to_sympy(p), x, domain="QQ")
+
+
+def rational(c: F):
+    return sympy.Rational(c.numerator, c.denominator)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ring_polys(5), ring_polys(5), RING_SCALARS)
+def test_ring_operations_against_sympy(f, g, c):
+    assert qq(f + g) == qq(f) + qq(g)
+    assert qq(f - g) == qq(f) - qq(g)
+    assert qq(-f) == -qq(f)
+    assert qq(f * g) == qq(f) * qq(g)
+    assert qq(f * c) == qq(c * f) == qq(f) * rational(c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ring_polys(7), ring_polys(3, nonzero=True), st.booleans())
+def test_divmod_against_sympy(f, g, monic):
+    if monic:
+        g = g.monic()
+    q, r = divmod(f, g)
+    sq, sr = qq(f).div(qq(g))
+    assert (qq(q), qq(r)) == (sq, sr)
+    assert (f // g, f % g) == (q, r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ring_polys(6), RING_SCALARS)
+def test_calculus_evaluation_and_monic_against_sympy(f, v):
+    assert qq(f.derivative()) == qq(f).diff(x)
+    assert qq(f.antiderivative()) == qq(f).integrate()
+    assert rational(f(v)) == qq(f).eval(rational(v))
+    if not f.is_zero():
+        assert qq(f.monic()) == qq(f).monic()
+        assert f.monic().is_monic()
+
+
+@settings(max_examples=150, deadline=None)
+@given(ring_polys(4), ring_polys(4, nonzero=True), ring_polys(2, nonzero=True))
+def test_ratfunc_normalisation_against_cancel(num, den, common):
+    num, den = num * common, den * common
+    r = RatFunc(num, den)
+    assert r.den.is_monic()
+    assert sympy.gcd(qq(r.num), qq(r.den)).degree() <= 0
+    # sympy's reduced form, scaled to a monic denominator
+    P, Q = sympy.fraction(sympy.cancel(to_sympy(num) / to_sympy(den)))
+    lead = sympy.Poly(Q, x, domain="QQ").LC()
+    assert qq(r.num) == sympy.Poly(P / lead, x, domain="QQ")
+    assert qq(r.den) == sympy.Poly(Q / lead, x, domain="QQ")
