@@ -27,6 +27,7 @@ or option), colliding bethe coordinates or an unsupported builder.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -284,7 +285,13 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    `parse_args` leaves the parser unchanged and fills a new namespace on
+    every call, so one parser serves any number of `main` calls.
+    """
     parser = _Parser(
         prog="operpop",
         description="Exact checks, reproduction, population tables and oper solutions.",

@@ -406,12 +406,15 @@ def _coprime_mod_p(a: list[int], b: list[int]) -> bool:
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic gcd; gcd(0, 0) = 0.
 
-    Answers 1 without Euclid over Q when the images of f and g mod _P are
-    coprime (the certificate of the module docstring); otherwise, and for
-    zero operands or operands that do not reduce mod _P, runs Euclid over Q
-    on primitive remainders.
+    Answers 1 at once when both operands are nonzero and one is constant,
+    and without Euclid over Q when the images of f and g mod _P are coprime
+    (the certificate of the module docstring); otherwise, and for zero
+    operands or operands that do not reduce mod _P, runs Euclid over Q on
+    primitive remainders.
     """
     if f and g:
+        if f.degree() == 0 or g.degree() == 0:
+            return Poly.one()
         fp, gp = _mod_p(f), _mod_p(g)
         if fp is not None and gp is not None and _coprime_mod_p(fp, gp):
             return Poly.one()

@@ -19,6 +19,18 @@ keeps one sample tuple per cell, labelled by its shifted Weyl orbit word.
 When the canonical member of a family is not generic, a deterministic scan
 over small integer parameters picks a generic member of the same degree so
 exploration can continue.
+
+Genericity of a child is decided from what the descent changed.  Lemma: let
+y be generic and let y' be y with y_i replaced by a family member
+~y = c1 * u + c2 * y_i (c1 != 0), so that W(y_i, ~y) is a nonzero multiple
+of T_i * prod_{j != i} y_j^(-a_ij).  Then y' is generic iff ~y is
+squarefree.  Proof: only the conditions that involve entry i can change.
+Suppose x0 is a common root of ~y and T_i, or of ~y and a linked y_j.  Then
+the right-hand side vanishes at x0, while W(y_i, ~y)(x0) = y_i(x0) ~y'(x0):
+y_i(x0) != 0 because y is generic, and ~y'(x0) != 0 because ~y is
+squarefree, a contradiction.  So `explore` keeps one flag per cell (is its
+sample generic?) and runs the full `is_generic` only on the seed and on the
+children of a non-generic sample.
 """
 
 from __future__ import annotations
@@ -27,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactalg import Poly, _primitive, wronskian, wronskian_partner
+from .exactalg import Poly, _primitive, squarefree, wronskian, wronskian_partner
 from .critical import (
     FertilityError,
     PolyTuple,
@@ -220,23 +232,36 @@ class PopulationSummary:
 _FALLBACK_PARAMETERS = tuple(Fraction(c) for c in (1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6))
 
 
-def _generic_member(family: DescendantFamily, p: ProblemData) -> tuple[PolyTuple, bool]:
+def _generic_member(
+    family: DescendantFamily, p: ProblemData, base_generic: bool
+) -> tuple[PolyTuple, bool, bool]:
     """Canonical member if generic, else a same-degree generic member.
 
-    Returns (sample, canonical_was_generic).  Falls back to the canonical
-    member when no scanned parameter is generic.
+    Returns (sample, canonical_was_generic, sample_is_generic).  Falls back
+    to the canonical member when no scanned parameter is generic.  When
+    `base_generic` says the family's base is generic, a member is generic
+    iff its new entry is squarefree (the lemma of the module docstring:
+    any common root x0 of the new entry with T_i or a linked y_j would make
+    W(y_i, new)(x0) = y_i(x0) new'(x0) vanish, which genericity of the base
+    and squarefreeness of the new entry rule out); otherwise the full
+    `is_generic` decides.
     """
+    i = family.direction
+
+    def generic(member: PolyTuple) -> bool:
+        return squarefree(member[i - 1]) if base_generic else bool(is_generic(member, p))
+
     canonical = family.member(1, 0)
-    if is_generic(canonical, p):
-        return canonical, True
+    if generic(canonical):
+        return canonical, True, True
     want = canonical.degrees
     for c2 in _FALLBACK_PARAMETERS:
         member = family.member(1, c2)
         if member.degrees != want:
             continue
-        if is_generic(member, p):
-            return member, False
-    return canonical, False
+        if generic(member):
+            return member, False, True
+    return canonical, False, False
 
 
 def explore(seed: PolyTuple, p: ProblemData, max_cells: Optional[int] = None) -> PopulationSummary:
@@ -249,17 +274,19 @@ def explore(seed: PolyTuple, p: ProblemData, max_cells: Optional[int] = None) ->
     labeled by the Weyl word reproducing their degree vector from the
     dominant base member.
     """
-    if not is_generic(seed, p):
-        raise ExplorationError(f"seed is not generic: {is_generic(seed, p).reason}")
-    seen: dict[tuple[int, ...], tuple[PolyTuple, tuple[int, ...], int]] = {
-        seed.degrees: (seed, (), 0)
+    seed_report = is_generic(seed, p)
+    if not seed_report:
+        raise ExplorationError(f"seed is not generic: {seed_report.reason}")
+    # degrees -> (sample, reaching path, degree jumps, sample is generic)
+    seen: dict[tuple[int, ...], tuple[PolyTuple, tuple[int, ...], int, bool]] = {
+        seed.degrees: (seed, (), 0, True)
     }
     frontier = [seed.degrees]
     exceptional: list[str] = []
     while frontier:
         nxt: list[tuple[int, ...]] = []
         for key in frontier:
-            sample, path, jumps = seen[key]
+            sample, path, jumps, sample_generic = seen[key]
             for i in range(1, p.rank + 1):
                 ckey = shifted_reflect_degrees(i, key, p.weights, p.cartan)
                 if ckey in seen:
@@ -271,11 +298,11 @@ def explore(seed: PolyTuple, p: ProblemData, max_cells: Optional[int] = None) ->
                     continue
                 if (degree := family.canonical.degree()) != ckey[i - 1]:
                     raise ExplorationError(f"{key} direction {i}: degree {degree}, s_i predicts {ckey[i - 1]}")
-                member, canonical_ok = _generic_member(family, p)
+                member, canonical_ok, member_generic = _generic_member(family, p, sample_generic)
                 if not canonical_ok:
                     exceptional.append(f"{key} direction {i}: canonical member not generic")
                 jump = 1 if ckey[i - 1] > key[i - 1] else 0
-                seen[ckey] = (member, path + (i,), jumps + jump)
+                seen[ckey] = (member, path + (i,), jumps + jump, member_generic)
                 nxt.append(ckey)
             if max_cells is not None and len(seen) >= max_cells:
                 nxt = []
@@ -294,7 +321,7 @@ def explore(seed: PolyTuple, p: ProblemData, max_cells: Optional[int] = None) ->
 
     labels = cell_words(base_degrees, p.weights, p.cartan)
     cells = {}
-    for degs, (sample, path, jumps) in seen.items():
+    for degs, (sample, path, jumps, _) in seen.items():
         word = labels[degs]
         cells[degs] = Cell(
             degrees=degs,

@@ -79,10 +79,11 @@ def mat_scale(a: Matrix, s) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
+    """Product of dense matrices; products with a zero factor are skipped."""
     bt = list(zip(*b))
     return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+        tuple(sum((x * y for x, y in zip(row, col) if x and y), Fraction(0)) for col in bt)
+        for row in a
     )
 
 

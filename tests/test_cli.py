@@ -1,14 +1,18 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import operpop
 from operpop import miura
-from operpop.cli import FIELDS, main, parse_problem
+from operpop.cli import FIELDS, build_parser, main, parse_problem
 from operpop.exactalg import Poly
 
 
@@ -378,6 +382,59 @@ class TestReportContract:
         code, report = run(["check", path], tmp_path, capsys)
         assert code == 2
         assert "parameters" in report["error"]
+
+
+class TestParserReuse:
+    def test_back_to_back_calls_carry_no_options(self, tmp_path, capsys):
+        half, b2 = write(tmp_path, "half.json", HALF), write(tmp_path, "b2.json", B2_N0)
+        calls = [
+            ["descend", half, "--direction", "1", "--param", "1:2"],
+            ["solve", half, "--rep", "sl"],
+            ["solve", b2],  # the default builder, auto
+            ["descend", half],  # usage error: --direction is required
+        ]
+
+        def timeless(argv):
+            code, report = run(argv, tmp_path, capsys)
+            report.pop("elapsed_s")
+            return code, report
+
+        in_a_row = [timeless(argv) for argv in calls]
+        alone = []
+        for argv in calls:
+            build_parser.cache_clear()
+            alone.append(timeless(argv))
+        assert in_a_row == alone
+        assert [code for code, _ in in_a_row] == [0, 0, 0, 2]
+        assert in_a_row[0][1]["parameter"] == ["1", "2"]
+        assert in_a_row[1][1]["builder"] == "sl"
+        assert in_a_row[2][1]["builder"] == "sp"
+        assert "--direction" in in_a_row[3][1]["error"]
+
+
+class TestEntryPoint:
+    """`python -m operpop.cli` in a process of its own."""
+
+    @staticmethod
+    def _run(*args):
+        src = str(Path(operpop.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run(
+            [sys.executable, "-m", "operpop.cli", *args], capture_output=True, text=True, env=env, timeout=120
+        )
+
+    @pytest.mark.parametrize("args", [["descend"], ["frobnicate"]])
+    def test_usage_error_exits_2_with_json(self, args, tmp_path):
+        path = write(tmp_path, "p.json", HALF)
+        done = self._run(args[0], path, *args[1:])
+        assert done.returncode == 2
+        assert done.stderr == ""
+        assert json.loads(done.stdout)["error"]
+
+    def test_small_populate_exits_0(self, tmp_path):
+        done = self._run("populate", write(tmp_path, "p.json", A2_N0))
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["cell_count"] == 6
 
 
 RANK_80 = {"lie_type": "A", "rank": 80, "weights": [], "points": [], "tuple": []}

@@ -1,10 +1,11 @@
+import functools
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from operpop.exactalg import Poly, wronskian, wronskian_partner
+from operpop.exactalg import Poly, squarefree, wronskian, wronskian_partner
 from operpop.critical import PolyTuple, build_T, fertility_direction, is_generic, problem
 from operpop.liedata import degrees_for, weyl_elements, weyl_length
 from operpop import population
@@ -108,6 +109,18 @@ class TestCalibratedSequence:
         assert wronskian_partner(X**2, Poly.one()) is None
 
 
+def _generic_member_by_full_check(family, p, base_generic):
+    """`population._generic_member` with the full `is_generic` on every member."""
+    canonical = family.member(1, 0)
+    if is_generic(canonical, p):
+        return canonical, True, True
+    for c2 in population._FALLBACK_PARAMETERS:
+        member = family.member(1, c2)
+        if member.degrees == canonical.degrees and is_generic(member, p):
+            return member, False, True
+    return canonical, False, False
+
+
 class TestExplore:
     @pytest.mark.parametrize(
         "family,rank,count",
@@ -155,6 +168,63 @@ class TestExplore:
         summary = explore(half_tuple, half_problem)
         assert set(summary.cells) == {(1,), (2,)}
         assert summary.base_degrees == (1,)
+
+    @pytest.mark.parametrize(
+        "family,rank,weights,points",
+        [
+            ("A", 5, [], []),
+            ("D", 4, [], []),
+            ("F", 4, [], []),
+            ("G", 2, [[1, 0], [0, 1]], [0, 1]),
+            ("C", 3, [[1, 0, 0], [0, 0, 1]], [0, 1]),
+        ],
+    )
+    def test_corpus_samples_pass_full_genericity(self, family, rank, weights, points):
+        p = problem(family, rank, weights, points)
+        summary = explore(PolyTuple.constants(rank), p)
+        for cell in summary.cells.values():
+            assert is_generic(cell.sample, p), cell.degrees
+
+    @pytest.mark.parametrize(
+        "family,rank,weights,points",
+        [("D", 4, [], []), ("B", 2, [], []), ("G", 2, [[1, 0], [0, 1]], [0, 1])],
+    )
+    def test_full_genericity_check_only_on_the_seed(self, family, rank, weights, points, monkeypatch):
+        # B_2 n=0 has non-generic canonical members, so fallbacks are scanned too
+        calls = []
+
+        def counting(y, p):
+            calls.append(y)
+            return is_generic(y, p)
+
+        monkeypatch.setattr(population, "is_generic", counting)
+        p = problem(family, rank, weights, points)
+        seed = PolyTuple.constants(rank)
+        summary = explore(seed, p)
+        assert all(is_generic(cell.sample, p) for cell in summary.cells.values())
+        assert calls == [seed]
+
+    @pytest.mark.parametrize(
+        "family,rank,weights,points",
+        [
+            ("B", 2, [], []),
+            ("C", 3, [], []),
+            ("G", 2, [[1, 0], [0, 1]], [0, 1]),
+            ("A", 3, [[1, 0, 0], [0, 0, 1]], [-1, 2]),
+        ],
+    )
+    @pytest.mark.parametrize("fallbacks", [population._FALLBACK_PARAMETERS, ()])
+    def test_matches_full_genericity_reference(self, family, rank, weights, points, fallbacks, monkeypatch):
+        # without fallback parameters a non-generic canonical member stays the
+        # sample, and its children must then be checked in full
+        monkeypatch.setattr(population, "_FALLBACK_PARAMETERS", fallbacks)
+        p = problem(family, rank, weights, points)
+        seed = PolyTuple.constants(rank)
+        fast = explore(seed, p)
+        monkeypatch.setattr(population, "_generic_member", _generic_member_by_full_check)
+        reference = explore(seed, p)
+        assert fast.exceptional == reference.exceptional
+        assert {k: c.sample for k, c in fast.cells.items()} == {k: c.sample for k, c in reference.cells.items()}
 
     @pytest.mark.parametrize(
         "family,rank,weights,points",
@@ -238,6 +308,43 @@ class TestFertilityPropagation:
                         ok = False
                     fertile += ok
                 assert fertile >= 18
+
+
+WEIGHTED = {
+    "A3": ("A", 3, [[1, 0, 0], [0, 0, 1]]),
+    "B2": ("B", 2, [[1, 0], [0, 1]]),
+    "G2": ("G", 2, [[1, 0], [0, 1]]),
+    "C3": ("C", 3, [[1, 0, 0], [0, 0, 1]]),
+}
+
+
+@functools.cache
+def _weighted_population(name, points):
+    family, rank, weights = WEIGHTED[name]
+    p = problem(family, rank, weights, points)
+    return p, explore(PolyTuple.constants(rank), p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(WEIGHTED)),
+    points=st.lists(st.integers(-3, 3), min_size=2, max_size=2, unique=True).map(tuple),
+    cell=st.integers(0, 10**6),
+    c2s=st.lists(st.fractions(-6, 6, max_denominator=3), min_size=1, max_size=4),
+)
+def test_member_of_generic_sample_is_generic_iff_new_entry_squarefree(name, points, cell, c2s):
+    p, summary = _weighted_population(name, points)
+    cells = sorted(summary.cells)
+    sample = summary.cells[cells[cell % len(cells)]].sample
+    assume(is_generic(sample, p))
+    for i in range(1, p.rank + 1):
+        try:
+            family = descend_family(sample, i, p)
+        except ReproductionError:
+            continue
+        for c2 in (F(0), *c2s):
+            member = family.member(1, c2)
+            assert bool(is_generic(member, p)) == squarefree(member[i - 1]), (i, c2)
 
 
 # Scalars with numerators and denominators of up to about 200 bits.
