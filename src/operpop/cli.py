@@ -169,8 +169,8 @@ def _poly_strs(poly: Poly) -> list[str]:
 
 
 def _twisted_entry(v) -> dict:
-    """Map "q_1,...,q_r" exponent keys to rational-function strings."""
-    return {",".join(str(e) for e in q): str(c) for q, c in sorted(v.terms.items())}
+    """{"q_1,...,q_r": coefficient string} for v = coeff * T^q; {} for zero."""
+    return {} if v.is_zero() else {",".join(str(e) for e in v.q): str(v.coeff)}
 
 
 def cmd_check(p: ProblemData, y: PolyTuple, extras: dict, report: dict) -> int:
@@ -246,13 +246,13 @@ def _solve(p: ProblemData, y: PolyTuple, extras: dict, report: dict, rep_kind: s
             entries = solution_A(y, p).rows
         elif rep_kind == "sp":
             entries = solution_BC(y, p).rows
-        elif rep_kind == "general":
-            entries = [[v] for v in solution_general(y, extras.get("path", []), p)]
         else:
-            report["error"] = f"unknown builder {rep_kind!r}"
-            return 2
+            entries = [[v] for v in solution_general(y, extras.get("path", []), p)]
     except UnsupportedTypeError as exc:
-        report["error"] = f"{exc}; try the general builder (--rep general)"
+        if rep_kind == "general":
+            report["error"] = f"general builder: {exc}"
+        else:
+            report["error"] = f"{exc}; try the general builder (--rep general)"
         return 2
     except (ReproductionError, FertilityError) as exc:
         report["error"] = str(exc)

@@ -7,11 +7,12 @@ y_j^(-a_ij)) exactly.  Deforming in direction i adds a rational Riccati
 solution g to c_i; the only such g are logarithmic derivatives of
 descendant ratios, which is what ties opers to the reproduction procedure.
 
-`TwistedFunc` implements the coefficient field of the explicit solutions:
-finite sums of rational functions times formal monomials in T_l^(1/d),
-d the Cartan determinant.  Exponent vectors are canonicalized to [0, 1)
-with integer parts folded into the rational coefficient, which makes the
-relation (T^(1/d))^d = T hold definitionally; no branch is ever evaluated.
+`TwistedFunc` holds a value of the explicit solutions' coefficient field
+as one term: a rational function times one formal monomial T^q in the
+T_l^(1/d), d the Cartan determinant, as in the solution theorem.  The
+twist q is canonicalized to [0, 1)^r with integer parts folded into the
+rational coefficient, which makes the relation (T^(1/d))^d = T hold
+definitionally; no branch is ever evaluated.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
-from .exactalg import Poly, RatFunc, binary_power, log_derivative
+from .exactalg import Poly, RatFunc, log_derivative
 from .critical import PolyTuple, ProblemData, fertility_direction, wronskian_rhs
 from .liedata import CartanData, langlands_dual
 from .population import ReproductionPath
@@ -159,68 +160,50 @@ ExpVec = tuple[Fraction, ...]
 
 
 class TwistedFunc:
-    """Finite sum of RatFunc coefficients times formal monomials in T^q.
+    """coeff * T^q: one rational function times one fractional power of the T_l.
 
-    Exponent vectors live in (1/d)Z^r and are stored canonically in
-    [0, 1); nodes with T_l = 1 always carry exponent 0.  No zero
-    coefficients are stored; the zero element has an empty term map.
+    The twist q lives in (1/d)Z^r and is stored canonically in [0, 1)^r, the
+    integer parts folded into coeff; nodes with T_l = 1 always carry
+    exponent 0.  Zero has coeff 0 and q = 0 and adds to a value of any twist;
+    adding nonzero values of different twists raises ValueError.  The
+    constructor takes q already canonical; `term` folds a raw exponent vector.
     """
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "q", "coeff")
 
-    def __init__(self, ctx: TwistContext, terms: dict[ExpVec, RatFunc]):
+    def __init__(self, ctx: TwistContext, q: ExpVec, coeff: RatFunc):
         self.ctx = ctx
-        self.terms = {q: c for q, c in terms.items() if not c.is_zero()}
+        self.coeff = coeff
+        self.q = (Fraction(0),) * ctx.rank if coeff.is_zero() else tuple(q)
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def zero(cls, ctx: TwistContext) -> "TwistedFunc":
-        return cls(ctx, {})
+        return cls.from_rat(ctx, 0)
 
     @classmethod
     def one(cls, ctx: TwistContext) -> "TwistedFunc":
-        return cls.from_rat(ctx, RatFunc.one())
+        return cls.from_rat(ctx, 1)
 
     @classmethod
     def from_rat(cls, ctx: TwistContext, f: Union[RatFunc, Poly, int, Fraction]) -> "TwistedFunc":
-        if isinstance(f, Poly):
-            f = RatFunc(f)
-        elif not isinstance(f, RatFunc):
-            f = RatFunc(Poly.const(f))
-        return cls(ctx, {(Fraction(0),) * ctx.rank: f})
+        return cls(ctx, (Fraction(0),) * ctx.rank, f if isinstance(f, RatFunc) else RatFunc(f))
 
     @classmethod
     def term(cls, ctx: TwistContext, coeff: Union[RatFunc, Poly], exponents: Sequence) -> "TwistedFunc":
-        if isinstance(coeff, Poly):
-            coeff = RatFunc(coeff)
         q, up, down = _fold(ctx, tuple(Fraction(e) for e in exponents))
-        return cls(ctx, {q: coeff * RatFunc(up, down)})
+        return cls(ctx, q, RatFunc(up, down) * coeff)
 
     @classmethod
     def t_power(cls, ctx: TwistContext, l: int, exponent) -> "TwistedFunc":
         """T_l ^ exponent (1-based node index)."""
-        exps = [Fraction(0)] * ctx.rank
-        exps[l - 1] = Fraction(exponent)
-        return cls.term(ctx, RatFunc.one(), exps)
-
-    # -- structure --------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_single_term(self) -> bool:
-        return len(self.terms) == 1
-
-    def single_term(self) -> tuple[ExpVec, RatFunc]:
-        if not self.is_single_term():
-            raise ValueError("not a single-term twisted function")
-        return next(iter(self.terms.items()))
-
-    def exponent_vectors(self) -> list[ExpVec]:
-        return sorted(self.terms)
+        return cls.term(ctx, RatFunc.one(), [exponent if k == l - 1 else 0 for k in range(ctx.rank)])
 
     # -- arithmetic --------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return self.coeff.is_zero()
 
     def _check(self, other: "TwistedFunc") -> None:
         if self.ctx != other.ctx:
@@ -228,13 +211,16 @@ class TwistedFunc:
 
     def __add__(self, other: "TwistedFunc") -> "TwistedFunc":
         self._check(other)
-        out = dict(self.terms)
-        for q, c in other.terms.items():
-            out[q] = out.get(q, RatFunc.zero()) + c
-        return TwistedFunc(self.ctx, out)
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
+        if self.q != other.q:
+            raise ValueError(f"cannot add twists {self.q} and {other.q}")
+        return TwistedFunc(self.ctx, self.q, self.coeff + other.coeff)
 
     def __neg__(self) -> "TwistedFunc":
-        return TwistedFunc(self.ctx, {q: -c for q, c in self.terms.items()})
+        return TwistedFunc(self.ctx, self.q, -self.coeff)
 
     def __sub__(self, other: "TwistedFunc") -> "TwistedFunc":
         return self + (-other)
@@ -243,72 +229,48 @@ class TwistedFunc:
         if not isinstance(other, TwistedFunc):
             other = TwistedFunc.from_rat(self.ctx, other)
         self._check(other)
-        out: dict[ExpVec, RatFunc] = {}
-        for q1, c1 in self.terms.items():
-            for q2, c2 in other.terms.items():
-                raw = tuple(a + b for a, b in zip(q1, q2))
-                q, up, down = _fold(self.ctx, raw)
-                prod = c1 * c2 * RatFunc(up, down)
-                out[q] = out.get(q, RatFunc.zero()) + prod
-        return TwistedFunc(self.ctx, out)
+        return TwistedFunc.term(self.ctx, self.coeff * other.coeff, [a + b for a, b in zip(self.q, other.q)])
 
     __rmul__ = __mul__
 
     def __pow__(self, n: Union[int, Fraction]) -> "TwistedFunc":
-        if isinstance(n, Fraction) and n.denominator != 1:
-            return self._pow_rational(n)
-        n = int(n)
-        if n >= 0:
-            return binary_power(self, n) if n else TwistedFunc.one(self.ctx)
-        q, c = self.single_term()  # raises for multi-term negative powers
-        if c.is_zero():
-            raise ZeroDivisionError("negative power of zero")
-        inv_q, up, down = _fold(self.ctx, tuple(-e for e in q))
-        inverse = TwistedFunc(self.ctx, {inv_q: RatFunc(up, down) / c})
-        return inverse if n == -1 else inverse ** (-n)
+        """Any integer power; a rational power only of a pure T-monomial.
 
-    def _pow_rational(self, n: Fraction) -> "TwistedFunc":
-        q, c = self.single_term()
-        if not c.is_constant() or c.constant_value() != 1:
+        The twist is multiplied by n and folded, so it must stay in (1/d)Z.
+        """
+        n = Fraction(n)
+        if n.denominator == 1:
+            coeff = self.coeff ** int(n)  # raises ZeroDivisionError for 0 ** -k
+        elif self.coeff == 1:
+            coeff = self.coeff
+        else:
             raise ValueError("rational powers exist only for pure T-monomials")
-        raw = tuple(e * n for e in q)
-        for e in raw:
-            if (e * self.ctx.d).denominator != 1:
-                raise ValueError("rational power leaves the (1/d)Z exponent lattice")
-        qout, up, down = _fold(self.ctx, raw)
-        return TwistedFunc(self.ctx, {qout: RatFunc(up, down)})
+        return TwistedFunc.term(self.ctx, coeff, [e * n for e in self.q])
 
     def derivative(self) -> "TwistedFunc":
-        """d/dx termwise: (f T^q)' = (f' + f sum q_l T_l'/T_l) T^q."""
-        out: dict[ExpVec, RatFunc] = {}
-        for q, c in self.terms.items():
-            coeff = c.derivative()
-            for l, e in enumerate(q):
-                if e != 0:
-                    coeff = coeff + c * e * log_derivative(RatFunc(self.ctx.T[l]))
-            if not coeff.is_zero():
-                out[q] = out.get(q, RatFunc.zero()) + coeff
-        return TwistedFunc(self.ctx, out)
+        """(f T^q)' = (f' + f sum q_l T_l'/T_l) T^q."""
+        f = self.coeff
+        coeff = f.derivative()
+        for T, e in zip(self.ctx.T, self.q):
+            if e != 0:
+                coeff = coeff + f * e * log_derivative(RatFunc(T))
+        return TwistedFunc(self.ctx, self.q, coeff)
 
     # -- comparisons --------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TwistedFunc):
             return NotImplemented
-        return self.ctx == other.ctx and self.terms == other.terms
+        return self.ctx == other.ctx and self.q == other.q and self.coeff == other.coeff
 
     def __hash__(self) -> int:
-        return hash((self.ctx, tuple(sorted(self.terms.items(), key=lambda kv: kv[0]))))
+        return hash((self.ctx, self.q, self.coeff))
 
     def __repr__(self) -> str:
         if self.is_zero():
             return "TwistedFunc(0)"
-        bits = []
-        for q in sorted(self.terms):
-            c = self.terms[q]
-            mono = " ".join(f"T_{l + 1}^{e}" for l, e in enumerate(q) if e != 0)
-            bits.append(f"({c})" + (f" {mono}" if mono else ""))
-        return "TwistedFunc(" + " + ".join(bits) + ")"
+        mono = " ".join(f"T_{l + 1}^{e}" for l, e in enumerate(self.q) if e != 0)
+        return f"TwistedFunc(({self.coeff})" + (f" {mono}" if mono else "") + ")"
 
 
 def _fold(ctx: TwistContext, raw: ExpVec) -> tuple[ExpVec, Poly, Poly]:
@@ -336,17 +298,10 @@ def twisted_wronskian(u: TwistedFunc, v: TwistedFunc) -> TwistedFunc:
 
 
 def twisted_proportional(u: TwistedFunc, v: TwistedFunc) -> bool:
-    """u = lambda v for a nonzero scalar lambda."""
+    """u = lambda v for a nonzero scalar lambda: the same twist and a constant ratio."""
     if u.is_zero() or v.is_zero():
         return u.is_zero() and v.is_zero()
-    if set(u.terms) != set(v.terms):
-        return False
-    q0 = next(iter(u.terms))
-    ratio = u.terms[q0] / v.terms[q0]
-    if not ratio.is_constant() or ratio.constant_value() == 0:
-        return False
-    lam = ratio.constant_value()
-    return all(u.terms[q] == v.terms[q] * lam for q in u.terms)
+    return u.q == v.q and (u.coeff / v.coeff).is_constant()
 
 
 # ---------------------------------------------------------------------------
@@ -355,14 +310,10 @@ def twisted_proportional(u: TwistedFunc, v: TwistedFunc) -> bool:
 
 
 def reduced_tuple(y: PolyTuple, p: ProblemData, ctx: Optional[TwistContext] = None) -> list[TwistedFunc]:
-    """reduced y_i = y_i prod_l T_l^(-b_il), as single-term twisted functions."""
+    """reduced y_i = y_i prod_l T_l^(-b_il), as twisted functions."""
     if ctx is None:
         ctx = twist_context(p)
-    out = []
-    for i in range(p.rank):
-        exps = [-p.cartan.b[i][l] for l in range(p.rank)]
-        out.append(TwistedFunc.term(ctx, RatFunc(y[i]), exps))
-    return out
+    return [TwistedFunc.term(ctx, RatFunc(y[i]), [-b for b in p.cartan.b[i]]) for i in range(p.rank)]
 
 
 class ReducedCheck(NamedTuple):
@@ -385,12 +336,9 @@ def reduced_wronskian_check(path: ReproductionPath, p: ProblemData) -> ReducedCh
         current = reduced_tuple(path.tuples[step - 1], p, ctx)
         lhs = twisted_wronskian(prev[i - 1], current[i - 1])
         rhs = TwistedFunc.one(ctx)
-        for j in range(1, p.rank + 1):
-            if j == i:
-                continue
-            e = -p.cartan.a[i - 1][j - 1]
-            if e:
-                rhs = rhs * prev[j - 1] ** e
+        for j, a_ij in enumerate(p.cartan.a[i - 1]):
+            if j != i - 1 and a_ij:
+                rhs = rhs * prev[j] ** -a_ij
         if not twisted_proportional(lhs, rhs):
             return ReducedCheck(False, step)
         prev = current

@@ -238,8 +238,8 @@ class TwistedMatrix:
     """T^q * num / den: one twist q, a matrix of polynomials, one denominator.
 
     q is canonical in [0, 1)^r: construction folds its integer parts into
-    num or den.  Entries are not reduced; `rows` and `column` render them
-    as reduced single-term twisted functions.
+    num or den.  Entries are not reduced; `rows` and `column` render each
+    one as the twisted function RatFunc(num_ij, den) * T^q, all sharing q.
     """
 
     __slots__ = ("ctx", "q", "num", "den")
@@ -277,7 +277,7 @@ class TwistedMatrix:
         return not any(v for row in self.num for v in row)
 
     def _entry(self, v: Poly) -> TwistedFunc:
-        return TwistedFunc(self.ctx, {self.q: RatFunc(v, self.den)} if v else {})
+        return TwistedFunc(self.ctx, self.q, RatFunc(v, self.den))
 
     @property
     def rows(self) -> tuple[tuple[TwistedFunc, ...], ...]:
@@ -486,8 +486,8 @@ def solution_general(
     rational shift per step).  Returns the vector of twisted coordinates;
     D_y Y = 0 is verified exactly before returning.
     """
+    D = miura_from_tuple(y, p)  # before the rep, so a type without one still checks its pairings
     rep = default_rep(p)
-    D = miura_from_tuple(y, p)
     ctx = twist_context(p)
     try:
         steps = calibrated_sequence(y.polys, indices, p, shifts=shifts)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import operpop
-from operpop import miura
+from operpop import miura, solutions
 from operpop.cli import FIELDS, build_parser, main, parse_problem
 from operpop.exactalg import Poly
 
@@ -33,6 +33,7 @@ HALF = {
 
 A2_N0 = {"lie_type": "A", "rank": 2, "weights": [], "points": [], "tuple": [["1"], ["1"]]}
 B2_N0 = {"lie_type": "B", "rank": 2, "weights": [], "points": [], "tuple": [["1"], ["1"]]}
+G2_N0 = {"lie_type": "G", "rank": 2, "weights": [], "points": [], "tuple": [["1"], ["1"]]}
 
 
 def run(args, tmp_path, capsys):
@@ -187,6 +188,28 @@ class TestVerifyBuildsOneOper:
         code, report = run(["verify", path, "--path", "1"], tmp_path, capsys)
         assert code == 0 and report["oper_pairings"] == "exact"
         assert len(calls) == 1
+
+    def test_pairings_are_checked_for_a_type_without_a_rep(self, tmp_path, capsys, monkeypatch):
+        # the general builder builds D before it looks for a representation
+        original, calls = miura.miura_from_tuple, []
+
+        def counted(y, p):
+            calls.append(p)
+            return original(y, p)
+
+        monkeypatch.setattr(solutions, "miura_from_tuple", counted)
+        path = write(tmp_path, "p.json", G2_N0)
+        code, report = run(["verify", path, "--path", "1"], tmp_path, capsys)
+        assert code == 2 and report["oper_pairings"] == "exact"
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("args", [["solve", "--rep", "general"], ["verify", "--path", "1"]])
+def test_general_builder_failure_suggests_no_builder(args, tmp_path, capsys):
+    path = write(tmp_path, "p.json", G2_N0)
+    code, report = run([args[0], path, *args[1:]], tmp_path, capsys)
+    assert code == 2
+    assert "G_2" in report["error"] and "--rep general" not in report["error"]
 
 
 A2_DESK = {

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from operpop.exactalg import Poly, RatFunc, log_derivative
 from operpop.critical import PolyTuple, build_T, problem
@@ -158,13 +159,16 @@ class TestTwistedOps:
         dbar = TwistedFunc.term(ctx, RatFunc(steps[0].diagonal), [F(-1, 2)])
         assert twisted_wronskian(ybar, dbar) == TwistedFunc.one(ctx)
 
-    def test_multi_term_rational_power_rejected(self, half_problem):
+    def test_adding_different_twists_raises(self, half_problem):
         ctx = twist_context(half_problem)
-        s = TwistedFunc.one(ctx) + TwistedFunc.t_power(ctx, 1, F(1, 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="twists"):
+            TwistedFunc.one(ctx) + TwistedFunc.t_power(ctx, 1, F(1, 2))
+
+    def test_rational_power_of_non_monomial_raises(self, half_problem):
+        ctx = twist_context(half_problem)
+        s = TwistedFunc.term(ctx, RatFunc(Poly([1, 1])), [F(1, 2)])
+        with pytest.raises(ValueError, match="monomials"):
             s ** F(1, 2)
-        with pytest.raises(ValueError):
-            s**-1
 
     def test_fold_relation(self, half_problem):
         # (T^(1/2))^2 folds back to T itself
@@ -183,12 +187,52 @@ class TestTwistedOps:
             )
             v = TwistedFunc.term(
                 ctx,
-                RatFunc(Poly([rng.randint(-3, 3) for _ in range(2)])),
+                RatFunc(Poly([rng.randint(-3, 3) for _ in range(2)])) + rng.randint(-2, 2),
                 [F(rng.randint(0, 1), 2)],
-            ) + TwistedFunc.from_rat(ctx, rng.randint(-2, 2))
+            )
             if u.is_zero() or v.is_zero():
                 continue
             assert (u * v).derivative() == u.derivative() * v + u * v.derivative()
+
+
+# ---------------------------------------------------------------------------
+# Field laws of f * T^q on A2 (d = 3) and B2 (d = 2) contexts
+# ---------------------------------------------------------------------------
+
+CONTEXTS = {
+    "a2": twist_context(problem("A", 2, [[1, 0], [0, 1]], [0, 1])),  # T = (x, x - 1)
+    "b2": twist_context(problem("B", 2, [[1, 0], [0, 1]], [0, 5])),  # T = (x, x - 5)
+}
+SMALL_POLYS = st.lists(st.integers(-3, 3), max_size=3).map(Poly)
+MONIC_DENS = st.lists(st.integers(-2, 2), max_size=2).map(Poly.from_roots)
+
+
+@st.composite
+def twisted_values(draw, ctx):
+    """A nonzero f * T^q with q drawn from (1/d)Z^r on both sides of [0, 1)."""
+    num = draw(SMALL_POLYS.filter(bool))
+    q = [F(draw(st.integers(-2 * ctx.d, 2 * ctx.d)), ctx.d) for _ in range(ctx.rank)]
+    return TwistedFunc.term(ctx, RatFunc(num, draw(MONIC_DENS)), q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(CONTEXTS)))
+def test_twisted_field_laws(data, name):
+    ctx = CONTEXTS[name]
+    u, v = data.draw(twisted_values(ctx)), data.draw(twisted_values(ctx))
+    assert (u * v).derivative() == u.derivative() * v + u * v.derivative()
+    assert u * u**-1 == TwistedFunc.one(ctx)
+
+    l = data.draw(st.integers(1, ctx.rank))
+    a = F(data.draw(st.integers(-2 * ctx.d, 2 * ctx.d)), ctx.d)
+    k = data.draw(st.integers(-3, 3))
+    assert TwistedFunc.t_power(ctx, l, a) ** k == TwistedFunc.t_power(ctx, l, a * k)
+
+    # zero is built at an arbitrary twist, yet it is one value: the identity for +
+    zeros = [TwistedFunc.term(ctx, RatFunc.zero(), w.q) for w in (u, v)] + [TwistedFunc.zero(ctx)]
+    for zero in zeros:
+        assert zero.is_zero() and zero + u == u and u + zero == u
+        assert zero == zeros[-1] and hash(zero) == hash(zeros[-1])
 
 
 class TestReducedWronskianCheck:
