@@ -41,6 +41,7 @@ from .solutions import (
     apply_miura,
     fold_to_A,
     nested_bracket,
+    rep_minuscule,
     rep_standard_sl,
     rep_standard_sp,
     solution_A,

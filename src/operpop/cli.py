@@ -21,7 +21,8 @@ deg T_i (the sum of the i-th weight coordinates) is at most MAX_T_DEGREE
 Subcommands: check, descend, populate, solve, verify.
 Exit codes: 0 success; 1 negative verdict (not fertile, reproduction,
 exploration or verification failed); 2 `InputError` (a bad file, document
-or option), colliding bethe coordinates or an unsupported builder.
+or option), colliding bethe coordinates or an unsupported builder, such as
+any builder on G2, F4 or E8, whose duals have no minuscule representation.
 """
 
 from __future__ import annotations

@@ -443,6 +443,18 @@ def poly_ext_gcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
     return r0.monic(), s0 * inv, t0 * inv
 
 
+def _binary(op):
+    """op(self, other) with other as a RatFunc; NotImplemented for an operand
+    that is no RatFunc, Poly or exact scalar, so its reflected method runs."""
+
+    def coerced(self, other):
+        if not isinstance(other, (RatFunc, Poly, int, Fraction, str)):
+            return NotImplemented
+        return op(self, _coerce(other))
+
+    return coerced
+
+
 class RatFunc:
     """Reduced rational function num/den with monic denominator."""
 
@@ -488,8 +500,8 @@ class RatFunc:
             raise ValueError(f"not a constant: {self}")
         return self.num.coeff(0)
 
+    @_binary
     def __add__(self, other: "RatFunc") -> "RatFunc":
-        other = _coerce(other)
         return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
@@ -497,26 +509,29 @@ class RatFunc:
     def __neg__(self) -> "RatFunc":
         return RatFunc(-self.num, self.den)
 
+    @_binary
     def __sub__(self, other: "RatFunc") -> "RatFunc":
-        return self + (-_coerce(other))
+        return self + (-other)
 
+    @_binary
     def __rsub__(self, other: "RatFunc") -> "RatFunc":
-        return _coerce(other) + (-self)
+        return other + (-self)
 
-    def __mul__(self, other: Union["RatFunc", Poly, ScalarLike]) -> "RatFunc":
-        other = _coerce(other)
+    @_binary
+    def __mul__(self, other: "RatFunc") -> "RatFunc":
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: Union["RatFunc", Poly, ScalarLike]) -> "RatFunc":
-        other = _coerce(other)
+    @_binary
+    def __truediv__(self, other: "RatFunc") -> "RatFunc":
         if other.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
         return RatFunc(self.num * other.den, self.den * other.num)
 
-    def __rtruediv__(self, other: Union["RatFunc", Poly, ScalarLike]) -> "RatFunc":
-        return _coerce(other) / self
+    @_binary
+    def __rtruediv__(self, other: "RatFunc") -> "RatFunc":
+        return other / self
 
     def __pow__(self, n: int) -> "RatFunc":
         if n < 0:

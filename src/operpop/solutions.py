@@ -1,11 +1,14 @@
 """Matrix realizations of the dual algebras and explicit oper solutions.
 
-The defining representations of sl_m and sp_2r are pinned by explicit
-matrix conventions and validated against the Chevalley relations of the
-dual Cartan matrix.  A solution is held as Y = T^q * num / den: one twist
-q in [0, 1)^r, a matrix of polynomials and one denominator.  Every builder
-re-verifies D Y = 0 before returning, as one polynomial identity over Q(x)
-(see apply_miura).  Solution shapes:
+Every representation is the minuscule representation of the dual algebra
+(Bourbaki VIII.7.3): its weights are one Weyl orbit with all coordinates
+in {-1, 0, 1}, a basis vector per weight, and each F_i moves a weight mu
+with mu_i = 1 to mu - alpha_i.  The dual of every type but E_8, F_4 and
+G_2 has one; the result is validated against the Chevalley relations of
+the dual Cartan matrix.  A solution is held as Y = T^q * num / den: one
+twist q in [0, 1)^r, a matrix of polynomials and one denominator.  Every
+builder re-verifies D Y = 0 before returning, as one polynomial identity
+over Q(x) (see apply_miura).  Solution shapes:
 
 * type A: Y = Y_0 * Y_1 ... Y_r with Y_0 the weight/T diagonal and Y_i a
   commuting product of exponentials of nested brackets F_{i,j}, fed by the
@@ -13,8 +16,8 @@ re-verifies D Y = 0 before returning, as one polynomial identity over Q(x)
 * type B (opers on the sp side): the same shape, with an extra
   half-coefficient factor on [[F_r, F_{i,r-1}], F_{i,r-1}] and trailing
   factors fed by the folded sl_2r diagonal sequences;
-* any type: the lowest-weight-vector formula along an arbitrary
-  reproduction path.
+* any type with a minuscule dual representation: the lowest-weight-vector
+  formula along an arbitrary reproduction path.
 
 All diagonal sequences are exactly calibrated: W(prev, new) equals the
 relation right-hand side on the nose (see population.calibrated_sequence).
@@ -29,7 +32,7 @@ from typing import Optional, Sequence
 
 from .exactalg import Poly, RatFunc, log_derivative, poly_gcd
 from .critical import PolyTuple, ProblemData
-from .liedata import cartan_data, langlands_dual
+from .liedata import _orbit, cartan_data, langlands_dual, reflect
 from .miura import MiuraOper, TwistContext, TwistedFunc, _fold, miura_from_tuple, twist_context
 from .population import ReproductionError, calibrated_sequence
 
@@ -57,14 +60,6 @@ def eye(n: int) -> Matrix:
     return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
 
 
-def unit(n: int, i: int, j: int) -> Matrix:
-    """Elementary matrix with a 1 in (row i, column j), 1-based."""
-    return tuple(
-        tuple(Fraction(1 if (r == i - 1 and c == j - 1) else 0) for c in range(n))
-        for r in range(n)
-    )
-
-
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
@@ -79,12 +74,17 @@ def mat_scale(a: Matrix, s) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Product of dense matrices; products with a zero factor are skipped."""
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum((x * y for x, y in zip(row, col) if x and y), Fraction(0)) for col in bt)
-        for row in a
-    )
+    """Product of dense matrices, summed over the nonzero entries of each row of a."""
+    out = []
+    for row in a:
+        acc = [Fraction(0)] * len(b[0])
+        for x, b_row in zip(row, b):
+            if x:
+                for j, y in enumerate(b_row):
+                    if y:
+                        acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
@@ -133,7 +133,9 @@ def _validate_rep(rep: MatrixRep) -> None:
                 raise RepresentationError(f"coweight pairing <alpha_{i + 1}, w_{j + 1}> violated")
     for i in range(r):
         power = rep.F[i]
-        for _ in range(n):
+        for _ in range(n):  # F^(n+1) = 0 at the latest
+            if mat_is_zero(power):
+                break
             power = mat_mul(power, rep.F[i])
         if not mat_is_zero(power):
             raise RepresentationError(f"F_{i + 1} is not nilpotent")
@@ -142,46 +144,57 @@ def _validate_rep(rep: MatrixRep) -> None:
         raise RepresentationError("lowest weight vector is not annihilated by n_-")
 
 
+@cache
+def rep_minuscule(family: str, rank: int) -> MatrixRep:
+    """The minuscule representation of the dual of type family_rank, built once.
+
+    Its weights are the orbit under the dual Weyl group of the first
+    fundamental weight whose orbit keeps every coordinate in {-1, 0, 1},
+    and its basis v_mu is that orbit in breadth-first order from the
+    highest weight.  F_i v_mu = v_(mu - alpha_i) = v_(s_i mu) if mu_i = 1
+    and 0 otherwise, E_i = F_i^T and H_i = diag(mu_i).
+    """
+    c = cartan_data(family, rank)
+    dual = langlands_dual(c)
+    for k in range(rank):
+        orbit = []
+        for mu, _ in _orbit(tuple(int(j == k) for j in range(rank)), lambda i, m: reflect(i, m, dual), rank):
+            if any(abs(x) > 1 for x in mu):
+                break
+            orbit.append(mu)
+        else:
+            break
+    else:
+        raise UnsupportedTypeError(f"the dual of type {family}_{rank} has no minuscule representation")
+    n, index = len(orbit), {mu: a for a, mu in enumerate(orbit)}
+    F = []
+    for i in range(rank):
+        f = [[Fraction(0)] * n for _ in range(n)]
+        for a, mu in enumerate(orbit):
+            if mu[i] == 1:
+                f[index[reflect(i + 1, mu, dual)]][a] = Fraction(1)
+        F.append(tuple(map(tuple, f)))
+    H = tuple(tuple(tuple(mu[i] * e for e in row) for mu, row in zip(orbit, eye(n))) for i in range(rank))
+    rep = MatrixRep(
+        dim=n, F=tuple(F), E=tuple(map(transpose, F)), H=H, coweights=_coweights_from(H, c.b),
+        lowest=next(a for a, mu in enumerate(orbit) if all(x <= 0 for x in mu)), dual_cartan=dual.a,
+    )
+    _validate_rep(rep)
+    return rep
+
+
 def rep_standard_sl(m: int) -> MatrixRep:
     """Defining representation of sl_m (dual side of type A_{m-1})."""
     if m < 2:
         raise RepresentationError("sl_m needs m >= 2")
-    r = m - 1
-    F = tuple(unit(m, i + 1, i) for i in range(1, r + 1))
-    E = tuple(transpose(f) for f in F)
-    H = tuple(
-        mat_sub(unit(m, i, i), unit(m, i + 1, i + 1)) for i in range(1, r + 1)
-    )
-    c = cartan_data("A", r)
-    coweights = _coweights_from(H, c.b)
-    rep = MatrixRep(
-        dim=m, F=F, E=E, H=H, coweights=coweights, lowest=m - 1,
-        dual_cartan=langlands_dual(c).a,
-    )
-    _validate_rep(rep)
-    return rep
+    return rep_minuscule("A", m - 1)
 
 
 def rep_standard_sp(r: int) -> MatrixRep:
     """Defining representation of sp_2r (dual side of type B_r)."""
     if r < 2:
         raise RepresentationError("sp_2r needs r >= 2")
-    n = 2 * r
-    F = []
-    for i in range(1, r):
-        F.append(mat_add(unit(n, i + 1, i), unit(n, 2 * r - i + 1, 2 * r - i)))
-    F.append(unit(n, r + 1, r))
-    F = tuple(F)
-    E = tuple(transpose(f) for f in F)
-    H = tuple(commutator(E[i], F[i]) for i in range(r))
-    b_cart = cartan_data("B", r)
-    coweights = _coweights_from(H, b_cart.b)
-    rep = MatrixRep(
-        dim=n, F=F, E=E, H=H, coweights=coweights, lowest=n - 1,
-        dual_cartan=langlands_dual(b_cart).a,
-    )
-    _validate_rep(rep)
-    return rep
+    return rep_minuscule("B", r)
 
 
 def _coweights_from(H: Sequence[Matrix], b) -> tuple[Matrix, ...]:
@@ -459,19 +472,8 @@ def solution_BC(y: PolyTuple, p: ProblemData) -> TwistedMatrix:
 
 
 def default_rep(p: ProblemData) -> MatrixRep:
-    """The defining representation of the dual algebra, built once per type."""
-    return _rep(p.cartan.family, p.rank)
-
-
-@cache
-def _rep(family: str, rank: int) -> MatrixRep:
-    if family == "A":
-        return rep_standard_sl(rank + 1)
-    if family == "B":
-        return rep_standard_sp(rank)
-    raise UnsupportedTypeError(
-        f"no matrix representation implemented for the dual of type {family}_{rank}"
-    )
+    """The minuscule representation of the dual algebra, built once per type."""
+    return rep_minuscule(p.cartan.family, p.rank)
 
 
 def solution_general(

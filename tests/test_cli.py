@@ -34,6 +34,7 @@ HALF = {
 A2_N0 = {"lie_type": "A", "rank": 2, "weights": [], "points": [], "tuple": [["1"], ["1"]]}
 B2_N0 = {"lie_type": "B", "rank": 2, "weights": [], "points": [], "tuple": [["1"], ["1"]]}
 G2_N0 = {"lie_type": "G", "rank": 2, "weights": [], "points": [], "tuple": [["1"], ["1"]]}
+F4_N0 = {"lie_type": "F", "rank": 4, "weights": [], "points": [], "tuple": [["1"]] * 4}
 
 
 def run(args, tmp_path, capsys):
@@ -206,10 +207,34 @@ class TestVerifyBuildsOneOper:
 
 @pytest.mark.parametrize("args", [["solve", "--rep", "general"], ["verify", "--path", "1"]])
 def test_general_builder_failure_suggests_no_builder(args, tmp_path, capsys):
-    path = write(tmp_path, "p.json", G2_N0)
-    code, report = run([args[0], path, *args[1:]], tmp_path, capsys)
-    assert code == 2
-    assert "G_2" in report["error"] and "--rep general" not in report["error"]
+    for doc, name in ((G2_N0, "G_2"), (F4_N0, "F_4")):
+        path = write(tmp_path, "p.json", doc)
+        code, report = run([args[0], path, *args[1:]], tmp_path, capsys)
+        assert code == 2
+        assert name in report["error"] and "--rep general" not in report["error"]
+
+
+# types whose dual's minuscule representation is not sl_m or sp_2r: the
+# 8-dimensional spin and vector reps of C3 and D4, the 27-dimensional rep of E6
+MINUSCULE_CORPUS = {
+    "c3_n0": ({"lie_type": "C", "rank": 3, "weights": [], "points": [], "tuple": [["1"]] * 3}, "3,2,1"),
+    "c3": (
+        {"lie_type": "C", "rank": 3, "weights": [[1, 0, 0], [0, 0, 1]], "points": ["-1", "2"], "tuple": [["1"]] * 3},
+        "1,3,2",
+    ),
+    "d4_n0": ({"lie_type": "D", "rank": 4, "weights": [], "points": [], "tuple": [["1"]] * 4}, "2,1,3,4"),
+    "e6_n0": ({"lie_type": "E", "rank": 6, "weights": [], "points": [], "tuple": [["1"]] * 6}, "1,3,4"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MINUSCULE_CORPUS))
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_minuscule_types_solve_exactly(name, command, tmp_path, capsys):
+    doc, general_path = MINUSCULE_CORPUS[name]
+    path = write(tmp_path, "p.json", doc)
+    code, report = run([command, path, "--path", general_path], tmp_path, capsys)
+    assert code == 0 and report["verification"] == "DY=0: exact"
+    assert len(report["solution"]) == solutions.default_rep(parse_problem(doc)[0]).dim
 
 
 A2_DESK = {

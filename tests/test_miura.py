@@ -159,6 +159,13 @@ class TestTwistedOps:
         dbar = TwistedFunc.term(ctx, RatFunc(steps[0].diagonal), [F(-1, 2)])
         assert twisted_wronskian(ybar, dbar) == TwistedFunc.one(ctx)
 
+    def test_rational_function_times_twisted_commutes(self, half_problem):
+        # RatFunc defers to TwistedFunc for an operand it does not know
+        ctx = twist_context(half_problem)
+        f = RatFunc(Poly([3, 1]), Poly([1, 1]))
+        t = TwistedFunc.term(ctx, RatFunc(Poly([1, 2])), [F(1, 2)])
+        assert f * t == t * f == TwistedFunc.term(ctx, f * Poly([1, 2]), [F(1, 2)])
+
     def test_adding_different_twists_raises(self, half_problem):
         ctx = twist_context(half_problem)
         with pytest.raises(ValueError, match="twists"):

@@ -1,14 +1,18 @@
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from operpop.exactalg import Poly, RatFunc
 from operpop.critical import PolyTuple, problem
+from operpop.liedata import cartan_data, langlands_dual, weyl_elements
 from operpop.miura import TwistedFunc, miura_from_tuple, twist_context
 from operpop.population import ReproductionError
 from operpop import solutions
 from operpop.solutions import (
+    MatrixRep,
     RepresentationError,
     VerificationError,
     TwistedMatrix,
@@ -19,16 +23,19 @@ from operpop.solutions import (
     exp_generator,
     eye,
     fold_to_A,
+    mat_add,
     mat_is_zero,
     mat_mul,
     mat_scale,
+    mat_sub,
     nested_bracket,
+    rep_minuscule,
     rep_standard_sl,
     rep_standard_sp,
     solution_A,
     solution_BC,
     solution_general,
-    unit,
+    transpose,
     zeros,
 )
 
@@ -40,6 +47,53 @@ def diag(*values):
     return tuple(
         tuple(F(values[i]) if i == j else F(0) for j in range(n)) for i in range(n)
     )
+
+
+def unit(n, i, j):
+    """Elementary matrix with a 1 in (row i, column j), 1-based."""
+    return tuple(tuple(F(int((r, c) == (i - 1, j - 1))) for c in range(n)) for r in range(n))
+
+
+def _hand_built(family, rank, F_mats, H):
+    c = cartan_data(family, rank)
+    n = len(F_mats[0])
+    return MatrixRep(
+        dim=n, F=tuple(F_mats), E=tuple(transpose(f) for f in F_mats), H=tuple(H),
+        coweights=solutions._coweights_from(H, c.b), lowest=n - 1, dual_cartan=langlands_dual(c).a,
+    )
+
+
+def hand_built_sl(m):
+    """sl_m in the unit-matrix convention: F_i = e_(i+1, i), H_i = e_(i, i) - e_(i+1, i+1)."""
+    F_mats = [unit(m, i + 1, i) for i in range(1, m)]
+    H = [mat_sub(unit(m, i, i), unit(m, i + 1, i + 1)) for i in range(1, m)]
+    return _hand_built("A", m - 1, F_mats, H)
+
+
+def hand_built_sp(r):
+    """sp_2r in the unit-matrix convention: F_i = e_(i+1, i) + e_(2r-i+1, 2r-i), F_r = e_(r+1, r)."""
+    n = 2 * r
+    F_mats = [mat_add(unit(n, i + 1, i), unit(n, n - i + 1, n - i)) for i in range(1, r)] + [unit(n, r + 1, r)]
+    H = [commutator(transpose(f), f) for f in F_mats]
+    return _hand_built("B", r, F_mats, H)
+
+
+@pytest.mark.parametrize("family, rank", [("A", r) for r in range(1, 6)] + [("B", r) for r in range(2, 5)])
+def test_minuscule_orbit_matches_the_hand_built_reps(family, rank):
+    reference = hand_built_sl(rank + 1) if family == "A" else hand_built_sp(rank)
+    assert rep_minuscule(family, rank) == reference
+
+
+@pytest.mark.parametrize("family, rank, dim", [("C", 3, 8), ("C", 4, 16), ("D", 4, 8), ("D", 5, 10), ("E", 6, 27)])
+def test_minuscule_dimensions(family, rank, dim):
+    rep = rep_minuscule(family, rank)
+    assert rep.dim == dim and rep.dual_cartan == langlands_dual(cartan_data(family, rank)).a
+
+
+@pytest.mark.parametrize("family, rank", [("G", 2), ("F", 4), ("E", 8)])
+def test_no_minuscule_rep(family, rank):
+    with pytest.raises(UnsupportedTypeError, match=f"{family}_{rank} has no minuscule"):
+        rep_minuscule(family, rank)
 
 
 class TestRepSL:
@@ -388,7 +442,7 @@ def test_weight_diagonal_needs_one_twist(a2_problem, a2_tuple):
 
 def twisted_residual(y, p, rows):
     """Y' + (sum F_i + sum c_j H_j) Y from rendered entries, in the twisted field."""
-    ctx, rep, D = twist_context(p), default_rep(p), miura_from_tuple(y, p)
+    rep, D = default_rep(p), miura_from_tuple(y, p)
     n = rep.dim
     M = [
         [
@@ -403,7 +457,7 @@ def twisted_residual(y, p, rows):
         for j in range(len(rows[0])):
             acc = rows[a][j].derivative()
             for b in range(n):
-                acc = acc + TwistedFunc.from_rat(ctx, M[a][b]) * rows[b][j]
+                acc = acc + M[a][b] * rows[b][j]
             out_row.append(acc)
         out.append(out_row)
     return out
@@ -417,6 +471,8 @@ RESIDUAL_CASES = {
     "b2": (("b2_problem", "b2_tuple"), [2, 1]),
     "a3_zero_weight": (("A", 3), [3, 2, 1]),
     "b3_zero_weight": (("B", 3), [1, 2, 3]),
+    "c3_zero_weight": (("C", 3), [3, 2, 1]),
+    "d4_zero_weight": (("D", 4), [2, 1, 3, 4]),
 }
 
 
@@ -428,8 +484,9 @@ def _case(name, request):
 
 
 def _builders(p, y, path):
-    matrix = solution_A if p.cartan.family == "A" else solution_BC
-    yield matrix(y, p).rows
+    matrix = {"A": solution_A, "B": solution_BC}.get(p.cartan.family)
+    if matrix:
+        yield matrix(y, p).rows
     for indices in ([], path[:1], path):
         yield [[v] for v in solution_general(y, indices, p)]
 
@@ -467,3 +524,27 @@ def test_an_entry_plus_one_is_caught(name, request, monkeypatch):
         matrix(y, p)
     with pytest.raises(VerificationError, match="D Y != 0"):
         solution_general(y, path[:1], p)
+
+
+@pytest.mark.parametrize(
+    "family, rank, weights, points",
+    [("A", 3, [], []), ("C", 3, [], []), ("B", 3, [[1, 0, 0]], [0])],
+)
+def test_the_population_gives_all_solutions(family, rank, weights, points):
+    # the general builder along every Weyl word from the constant seed spans
+    # the dim V solutions of D Y = 0: stack each solution's coefficient
+    # vector, cleared to one denominator, and take the exact rank over Q
+    p = problem(family, rank, weights, points)
+    y = PolyTuple.constants(rank)
+    cleared = []
+    for word in weyl_elements(p.cartan):
+        vec = solution_general(y, word, p)
+        assert len({v.q for v in vec if not v.is_zero()}) == 1
+        den = reduce(solutions._lcm, [v.coeff.den for v in vec])
+        cleared.append([v.coeff.num * (den // v.coeff.den) for v in vec])
+    width = 1 + max(q.degree() for polys in cleared for q in polys)
+    stacked = sympy.Matrix(
+        [[sympy.Rational(c.numerator, c.denominator) for q in polys for c in q.coeffs + (F(0),) * (width - len(q.coeffs))]
+         for polys in cleared]
+    )
+    assert stacked.rank() == default_rep(p).dim
