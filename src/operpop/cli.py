@@ -18,11 +18,14 @@ coordinates (>= 0) and the `path` entries are integers.  For each node i,
 deg T_i (the sum of the i-th weight coordinates) is at most MAX_T_DEGREE
 = 256.  Any other field is rejected.  `--output` is opened before any work.
 
-Subcommands: check, descend, populate, solve, verify.
+Subcommands: check, descend, populate, solve, verify.  solve runs the
+general builder along the path when one is given (`path` or `--path`, even
+an empty one) and on types other than A and B, else the A or B matrix
+builder; verify is solve with the path defaulting to the empty one.
 Exit codes: 0 success; 1 negative verdict (not fertile, reproduction,
 exploration or verification failed); 2 `InputError` (a bad file, document
-or option), colliding bethe coordinates or an unsupported builder, such as
-any builder on G2, F4 or E8, whose duals have no minuscule representation.
+or option), colliding bethe coordinates or the general builder on G2, F4
+or E8, whose duals have no minuscule representation.
 """
 
 from __future__ import annotations
@@ -239,21 +242,17 @@ def cmd_populate(p: ProblemData, y: PolyTuple, extras: dict, report: dict, max_c
     return 0
 
 
-def _solve(p: ProblemData, y: PolyTuple, extras: dict, report: dict, rep_kind: str) -> int:
-    if rep_kind == "auto":
-        rep_kind = {"A": "sl", "B": "sp"}.get(p.cartan.family, "general")
+def _solve(p: ProblemData, y: PolyTuple, extras: dict, report: dict) -> int:
+    path = extras.get("path")
     try:
-        if rep_kind == "sl":
-            entries = solution_A(y, p).rows
-        elif rep_kind == "sp":
-            entries = solution_BC(y, p).rows
+        if path is None and p.cartan.family == "A":
+            builder, entries = "sl", solution_A(y, p).rows
+        elif path is None and p.cartan.family == "B":
+            builder, entries = "sp", solution_BC(y, p).rows
         else:
-            entries = [[v] for v in solution_general(y, extras.get("path", []), p)]
+            builder, entries = "general", [[v] for v in solution_general(y, path or [], p)]
     except UnsupportedTypeError as exc:
-        if rep_kind == "general":
-            report["error"] = f"general builder: {exc}"
-        else:
-            report["error"] = f"{exc}; try the general builder (--rep general)"
+        report["error"] = f"general builder: {exc}"
         return 2
     except (ReproductionError, FertilityError) as exc:
         report["error"] = str(exc)
@@ -262,7 +261,7 @@ def _solve(p: ProblemData, y: PolyTuple, extras: dict, report: dict, rep_kind: s
         report["error"] = str(exc)
         report["verification"] = "failed"
         return 1
-    report["builder"] = rep_kind
+    report["builder"] = builder
     report["solution"] = [[_twisted_entry(v) for v in row] for row in entries]
     report["verification"] = "DY=0: exact"
     return 0
@@ -273,7 +272,7 @@ def cmd_verify(p: ProblemData, y: PolyTuple, extras: dict, report: dict) -> int:
     report["generic"] = bool(generic)
     report["oper_pairings"] = "exact"
     try:
-        return _solve(p, y, extras, report, "general")
+        return _solve(p, y, {"path": [], **extras}, report)
     except AssertionError as exc:  # the builder's oper is built first and checks its pairings
         report["oper_pairings"] = str(exc)
         return 1
@@ -308,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "populate":
             cmd.add_argument("--max-cells", type=int, default=None)
         if name in ("solve", "verify"):
-            cmd.add_argument("--rep", default="auto", choices=("auto", "sl", "sp", "general"))
             cmd.add_argument("--path", default=None, help="comma-separated direction indices")
     return parser
 
@@ -326,7 +324,7 @@ def _request(args: argparse.Namespace) -> tuple[ProblemData, PolyTuple, dict]:
         # ValueError: bad JSON or UTF-8, an int over 4300 digits; RecursionError: deep nesting
         raise InputError(f"cannot read problem file: {exc}") from exc
     p, y, extras = parse_problem(doc)
-    if getattr(args, "path", None):
+    if getattr(args, "path", None) is not None:
         path = [_frac(v, "--path") for v in args.path.split(",") if v != ""]
         extras["path"] = [_index(int(i) if i.denominator == 1 else i, p.rank, "--path") for i in path]
     if args.command == "descend":
@@ -366,7 +364,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         elif args.command == "populate":
             code = cmd_populate(p, y, extras, report, args.max_cells)
         elif args.command == "solve":
-            code = _solve(p, y, extras, report, args.rep)
+            code = _solve(p, y, extras, report)
         else:
             code = cmd_verify(p, y, extras, report)
     except (ReproductionError, FertilityError, CollisionError, ExplorationError) as exc:

@@ -214,7 +214,6 @@ class Cell:
     word: tuple[int, ...]
     dimension: int
     sample: PolyTuple
-    reached_by: tuple[int, ...]  # descent directions from the seed
     degree_jumps: int  # strict degree increases along the reaching path
 
 
@@ -277,16 +276,14 @@ def explore(seed: PolyTuple, p: ProblemData, max_cells: Optional[int] = None) ->
     seed_report = is_generic(seed, p)
     if not seed_report:
         raise ExplorationError(f"seed is not generic: {seed_report.reason}")
-    # degrees -> (sample, reaching path, degree jumps, sample is generic)
-    seen: dict[tuple[int, ...], tuple[PolyTuple, tuple[int, ...], int, bool]] = {
-        seed.degrees: (seed, (), 0, True)
-    }
+    # degrees -> (sample, degree jumps along the reaching path, sample is generic)
+    seen: dict[tuple[int, ...], tuple[PolyTuple, int, bool]] = {seed.degrees: (seed, 0, True)}
     frontier = [seed.degrees]
     exceptional: list[str] = []
     while frontier:
         nxt: list[tuple[int, ...]] = []
         for key in frontier:
-            sample, path, jumps, sample_generic = seen[key]
+            sample, jumps, sample_generic = seen[key]
             for i in range(1, p.rank + 1):
                 ckey = shifted_reflect_degrees(i, key, p.weights, p.cartan)
                 if ckey in seen:
@@ -302,7 +299,7 @@ def explore(seed: PolyTuple, p: ProblemData, max_cells: Optional[int] = None) ->
                 if not canonical_ok:
                     exceptional.append(f"{key} direction {i}: canonical member not generic")
                 jump = 1 if ckey[i - 1] > key[i - 1] else 0
-                seen[ckey] = (member, path + (i,), jumps + jump, member_generic)
+                seen[ckey] = (member, jumps + jump, member_generic)
                 nxt.append(ckey)
             if max_cells is not None and len(seen) >= max_cells:
                 nxt = []
@@ -321,14 +318,13 @@ def explore(seed: PolyTuple, p: ProblemData, max_cells: Optional[int] = None) ->
 
     labels = cell_words(base_degrees, p.weights, p.cartan)
     cells = {}
-    for degs, (sample, path, jumps, _) in seen.items():
+    for degs, (sample, jumps, _) in seen.items():
         word = labels[degs]
         cells[degs] = Cell(
             degrees=degs,
             word=word,
             dimension=len(word),
             sample=sample,
-            reached_by=path,
             degree_jumps=jumps,
         )
     return PopulationSummary(

@@ -65,12 +65,14 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    """a - b, with no subtraction where the entry of b is zero."""
+    return tuple(tuple(x - y if y else x for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_scale(a: Matrix, s) -> Matrix:
+    """s * a, with no product where the entry of a is zero."""
     s = Fraction(s)
-    return tuple(tuple(x * s for x in row) for row in a)
+    return tuple(tuple(x * s if x else x for x in row) for row in a)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -150,9 +151,23 @@ class TestSolve:
 
     def test_general_with_path(self, tmp_path, capsys):
         path = write(tmp_path, "p.json", dict(B2_N0, path=[1, 2]))
-        code, report = run(["solve", path, "--rep", "general"], tmp_path, capsys)
+        code, report = run(["solve", path], tmp_path, capsys)
         assert code == 0
         assert report["verification"] == "DY=0: exact"
+
+    def test_a_path_selects_the_general_builder(self, tmp_path, capsys):
+        path = write(tmp_path, "p.json", A2_N0)
+        code, solved = run(["solve", path, "--path", "1,2"], tmp_path, capsys)
+        assert code == 0 and solved["builder"] == "general"
+        code, verified = run(["verify", path, "--path", "1,2"], tmp_path, capsys)
+        assert code == 0 and solved["solution"] == verified["solution"]
+
+    @pytest.mark.parametrize("doc,args", [(dict(A2_N0, path=[]), []), (A2_N0, ["--path", ""])])
+    def test_an_empty_path_selects_the_general_builder(self, doc, args, tmp_path, capsys):
+        path = write(tmp_path, "p.json", doc)
+        code, report = run(["solve", path, *args], tmp_path, capsys)
+        assert code == 0 and report["builder"] == "general"
+        assert report["problem"]["path"] == []
 
 
 class TestVerify:
@@ -205,7 +220,7 @@ class TestVerifyBuildsOneOper:
         assert len(calls) == 1
 
 
-@pytest.mark.parametrize("args", [["solve", "--rep", "general"], ["verify", "--path", "1"]])
+@pytest.mark.parametrize("args", [["solve"], ["verify", "--path", "1"]])
 def test_general_builder_failure_suggests_no_builder(args, tmp_path, capsys):
     for doc, name in ((G2_N0, "G_2"), (F4_N0, "F_4")):
         path = write(tmp_path, "p.json", doc)
@@ -296,7 +311,7 @@ def _solution_argv(name, command, path):
     if command == "solve":
         return ["solve", path]
     if command == "general":
-        return ["solve", path, "--rep", "general", "--path", general_path]
+        return ["solve", path, "--path", general_path]
     return ["verify", path, "--path", "1"]
 
 
@@ -437,8 +452,8 @@ class TestParserReuse:
         half, b2 = write(tmp_path, "half.json", HALF), write(tmp_path, "b2.json", B2_N0)
         calls = [
             ["descend", half, "--direction", "1", "--param", "1:2"],
-            ["solve", half, "--rep", "sl"],
-            ["solve", b2],  # the default builder, auto
+            ["solve", half],
+            ["solve", b2],  # no path: the B matrix builder
             ["descend", half],  # usage error: --direction is required
         ]
 
@@ -458,6 +473,15 @@ class TestParserReuse:
         assert in_a_row[1][1]["builder"] == "sl"
         assert in_a_row[2][1]["builder"] == "sp"
         assert "--direction" in in_a_row[3][1]["error"]
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0] for line in block.splitlines() if line.startswith("operpop ")]
+    assert len(lines) >= 5
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])
 
 
 class TestEntryPoint:
@@ -503,6 +527,8 @@ MALFORMED = [
     (RANK_80, ["check"], "tuple"),
     (dict(HALF, weights=[[1000000], [1]]), ["check"], "deg T_1"),
     (HALF, ["check", "--output", "/nonexistent/dir/report.json"], "--output"),
+    (HALF, ["solve", "--rep", "general"], "--rep"),
+    (HALF, ["verify", "--rep", "sl"], "--rep"),
 ]
 
 
