@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 import time
@@ -145,6 +146,8 @@ def parse_problem(doc: dict) -> tuple[ProblemData, PolyTuple, dict]:
         extras["bethe"] = BetheConfig.of(
             [[_frac(t, "bethe") for t in _list(group, "bethe")] for group in groups]
         )
+    if type(doc["lie_type"]) is not str:  # cartan_data is cached, so its arguments must hash
+        raise InputError("lie_type must be a family letter A-G")
     try:
         cartan = cartan_data(doc["lie_type"], rank)
     except CartanError as exc:
@@ -378,7 +381,14 @@ def _emit(report: dict, output: Optional[TextIO], started: float) -> None:
     report["elapsed_s"] = round(time.perf_counter() - started, 6)
     text = json.dumps(report, indent=2)
     if output is None:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # the reader closed stdout (`operpop populate f4.json | head`): point
+            # it at devnull, so that the flush at interpreter exit raises nothing
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     else:
         with output:
             output.truncate(0)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from typing import Callable, Iterator, Sequence
 
@@ -149,8 +150,9 @@ def _invert_integer_matrix(a: Sequence[Sequence[int]]) -> tuple[tuple[tuple[Frac
     return tuple(tuple(row[r:]) for row in m), int(det)
 
 
+@cache
 def cartan_data(family: str, rank: int) -> CartanData:
-    """Cartan matrix, symmetrizers, inverse matrix and determinant."""
+    """Cartan matrix, symmetrizers, inverse matrix and determinant, built once per type."""
     a, d = _cartan_matrix(family, rank)
     b, det = _invert_integer_matrix(a)
     return CartanData(
@@ -166,8 +168,9 @@ def cartan_data(family: str, rank: int) -> CartanData:
 _DUAL_FAMILY = {"A": "A", "B": "C", "C": "B", "D": "D", "E": "E", "F": "F", "G": "G"}
 
 
+@cache
 def langlands_dual(c: CartanData) -> CartanData:
-    """The data with transposed Cartan matrix; an involution."""
+    """The data with transposed Cartan matrix; an involution, built once per type."""
     r = c.rank
     a = tuple(tuple(c.a[j][i] for j in range(r)) for i in range(r))
     m = lcm(*c.d_sym)

@@ -3,9 +3,21 @@
 The oper attached to a tuple is stored through its Cartan-part coordinates
 c_j in the H-basis, c_j = log'(y_j) - sum_l b_{j,l} log'(T_l), so that the
 defining pairings v_i = sum_j a_{i,j} c_j recover -log'(T_i prod_j
-y_j^(-a_ij)) exactly.  Deforming in direction i adds a rational Riccati
-solution g to c_i; the only such g are logarithmic derivatives of
-descendant ratios, which is what ties opers to the reproduction procedure.
+y_j^(-a_ij)) exactly.  The denominator of c_j is known: c_j is written as
+one numerator over y_j prod_l T_l (l with b_{j,l} != 0 and deg T_l > 0) and
+reduced with one gcd.  The pairings are re-checked in every direction
+without RatFunc additions: with W_i = T_i prod_{j != i} y_j^(-a_ij) and the
+stored c_j = num_j / den_j, v_i = -log'(W_i / y_i^2) is the polynomial
+identity
+
+    (sum_j a_ij num_j prod_{k != j} den_k) W_i y_i
+        = (2 y_i' W_i - W_i' y_i) prod_k den_k,
+
+over the j and k with a_ij != 0 and a_ik != 0.
+
+Deforming in direction i adds a rational Riccati solution g to c_i; the
+only such g are logarithmic derivatives of descendant ratios, which is
+what ties opers to the reproduction procedure.
 
 `TwistedFunc` holds a value of the explicit solutions' coefficient field
 as one term: a rational function times one formal monomial T^q in the
@@ -19,6 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .exactalg import Poly, RatFunc, log_derivative
@@ -60,24 +74,39 @@ class MiuraOper:
 def miura_from_tuple(y: PolyTuple, p: ProblemData) -> MiuraOper:
     """The oper associated with weights, points, and the tuple y.
 
-    c_j = log'(reduced y_j); the defining pairing identity is re-verified
-    before returning.
+    c_j = log'(reduced y_j), one reduced RatFunc per coordinate; the
+    defining pairing identity is re-verified in every direction before
+    returning.
     """
     r = p.rank
-    log_T = [log_derivative(RatFunc(t)) if t.degree() > 0 else RatFunc.zero() for t in p.T]
-    coords = []
-    for j in range(r):
-        c = log_derivative(RatFunc(y[j])) if y[j].degree() > 0 else RatFunc.zero()
-        for l in range(r):
-            if p.cartan.b[j][l] != 0 and not log_T[l].is_zero():
-                c = c - log_T[l] * p.cartan.b[j][l]
-        coords.append(c)
-    oper = MiuraOper(dual=langlands_dual(p.cartan), h_coords=tuple(coords), provenance=(y, p))
+    coords = tuple(_h_coordinate(y[j], p.T, p.cartan.b[j]) for j in range(r))
     for i in range(1, r + 1):
-        combo = RatFunc(wronskian_rhs(y, i, p), y[i - 1] ** 2)
-        if oper.pairing(i) != -log_derivative(combo):
+        # the cross-multiplied pairing identity of the module docstring
+        links = [(a, coords[j]) for j, a in enumerate(p.cartan.a[i - 1]) if a]
+        dens = [c.den for _, c in links]
+        lhs = sum((c.num * a * _product(dens[:k] + dens[k + 1 :]) for k, (a, c) in enumerate(links)), Poly.zero())
+        W, yi = wronskian_rhs(y, i, p), y[i - 1]
+        if lhs * W * yi != (yi.derivative() * W * 2 - W.derivative() * yi) * _product(dens):
             raise AssertionError(f"oper pairing invariant failed in direction {i}")
-    return oper
+    return MiuraOper(dual=langlands_dual(p.cartan), h_coords=coords, provenance=(y, p))
+
+
+def _product(polys: Sequence[Poly]) -> Poly:
+    return reduce(mul, polys, Poly.one())
+
+
+def _h_coordinate(y_j: Poly, T: Sequence[Poly], b_row: Sequence[Fraction]) -> RatFunc:
+    """c_j = y_j'/y_j - sum_l b_jl T_l'/T_l as one reduced RatFunc.
+
+    The numerator is written over the known denominator y_j prod_l T_l
+    (over l with b_jl != 0 and deg T_l > 0), so the coordinate takes one
+    gcd, not one per term.
+    """
+    num, den = y_j.derivative(), y_j
+    for t, b in zip(T, b_row):
+        if b and t.degree() > 0:
+            num, den = num * t - t.derivative() * den * b, den * t
+    return RatFunc(num, den)
 
 
 def riccati_residual(g: RatFunc, i: int, D: MiuraOper) -> RatFunc:

@@ -5,10 +5,21 @@ Every representation is the minuscule representation of the dual algebra
 in {-1, 0, 1}, a basis vector per weight, and each F_i moves a weight mu
 with mu_i = 1 to mu - alpha_i.  The dual of every type but E_8, F_4 and
 G_2 has one; the result is validated against the Chevalley relations of
-the dual Cartan matrix.  A solution is held as Y = T^q * num / den: one
-twist q in [0, 1)^r, a matrix of polynomials and one denominator.  Every
-builder re-verifies D Y = 0 before returning, as one polynomial identity
-over Q(x) (see apply_miura).  Solution shapes:
+the dual Cartan matrix.  A solution is held as Y = T^q * (num_j / den_j)_j:
+one twist q in [0, 1)^r shared by all columns, and for each column j a
+vector of polynomials num_j over a denominator den_j of its own.
+
+Every factor the builders exponentiate is a root vector of a minuscule
+representation (an E_i, an F_i or a nested bracket of them).  Each weight
+pairs with each coroot in {-1, 0, 1}, so no root string through a weight
+is longer than two and M^2 = 0: exp(g M) = 1 + g M.  Right-multiplying by
+it changes only the columns b where M is nonzero, col_b += g sum_a M_ab
+col_a, and each changed column is gcd-reduced once; left-multiplying a
+column is v += g M v.  The update checks M^2 = 0 and raises otherwise, so
+it never returns a wrong product, and no builder forms an n x n product.
+
+Every builder re-verifies D Y = 0 before returning, as one polynomial
+identity over Q(x) per column (see apply_miura).  Solution shapes:
 
 * type A: Y = Y_0 * Y_1 ... Y_r with Y_0 the weight/T diagonal and Y_i a
   commuting product of exponentials of nested brackets F_{i,j}, fed by the
@@ -17,7 +28,8 @@ over Q(x) (see apply_miura).  Solution shapes:
   half-coefficient factor on [[F_r, F_{i,r-1}], F_{i,r-1}] and trailing
   factors fed by the folded sl_2r diagonal sequences;
 * any type with a minuscule dual representation: the lowest-weight-vector
-  formula along an arbitrary reproduction path.
+  formula exp(g_1 E_i1) ... exp(g_k E_ik) v_low along an arbitrary
+  reproduction path, the g's computed forward and applied right to left.
 
 All diagonal sequences are exactly calibrated: W(prev, new) equals the
 relation right-hand side on the nose (see population.calibrated_sequence).
@@ -27,7 +39,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
+from operator import mul
 from typing import Optional, Sequence
 
 from .exactalg import Poly, RatFunc, log_derivative, poly_gcd
@@ -116,6 +129,16 @@ class MatrixRep:
     @property
     def rank(self) -> int:
         return len(self.F)
+
+    @cached_property
+    def oper_rows(self) -> tuple[tuple[tuple[int, tuple[Fraction, ...]], ...], ...]:
+        """Row a of the oper's matrix part: the columns b where sum_i F_i or
+        some H_j is nonzero, each with (sum_i F_i[a][b], H_1[a][b], ...)."""
+        mats = [reduce(mat_add, self.F), *self.H]
+        return tuple(
+            tuple((b, coeffs) for b, coeffs in enumerate(zip(*(m[a] for m in mats))) if any(coeffs))
+            for a in range(self.dim)
+        )
 
 
 def _validate_rep(rep: MatrixRep) -> None:
@@ -245,25 +268,44 @@ def nested_bracket(rep: MatrixRep, kind: str, i: int, j: int) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# Matrices over the twisted field: one twist, polynomials over one denominator
+# Matrices over the twisted field: one twist, a denominator per column
 # ---------------------------------------------------------------------------
+
+Column = tuple[list[Poly], Poly]  # (numerators, denominator)
 
 
 class TwistedMatrix:
-    """T^q * num / den: one twist q, a matrix of polynomials, one denominator.
+    """T^q times a matrix of rational functions, held column by column.
 
-    q is canonical in [0, 1)^r: construction folds its integer parts into
-    num or den.  Entries are not reduced; `rows` and `column` render each
-    one as the twisted function RatFunc(num_ij, den) * T^q, all sharing q.
+    Column j is (num_j, den_j): polynomials over a denominator of its own.
+    Every column shares the one twist q, canonical in [0, 1)^r;
+    construction folds the integer parts of q into the numerators or the
+    denominators.  `num` and `den` give the matrix over one common
+    denominator, the lcm of the den_j.  Entries are not reduced; `rows` and
+    `column` render each one as the twisted function RatFunc(num_ij, den_j)
+    * T^q.
     """
 
-    __slots__ = ("ctx", "q", "num", "den")
+    __slots__ = ("ctx", "q", "cols")
 
     def __init__(self, ctx: TwistContext, q: Sequence, num: Sequence[Sequence[Poly]], den: Poly):
+        """T^q num / den, num row by row: every column over the one den."""
+        self._set(ctx, q, [(list(col), den) for col in zip(*num)])
+
+    def _set(self, ctx: TwistContext, q: Sequence, cols: list[Column]) -> None:
         self.ctx = ctx
         self.q, up, down = _fold(ctx, tuple(Fraction(e) for e in q))
-        self.num = [[v * up for v in row] for row in num] if up.degree() > 0 else num
-        self.den = den * down if down.degree() > 0 else den
+        if up.degree() > 0:
+            cols = [([v * up for v in nums], d) for nums, d in cols]
+        if down.degree() > 0:
+            cols = [(nums, d * down) for nums, d in cols]
+        self.cols = cols
+
+    @classmethod
+    def from_columns(cls, ctx: TwistContext, q: Sequence, cols: Sequence[Column]) -> "TwistedMatrix":
+        out = cls.__new__(cls)
+        out._set(ctx, q, list(cols))
+        return out
 
     @classmethod
     def identity(cls, ctx: TwistContext, n: int) -> "TwistedMatrix":
@@ -271,35 +313,50 @@ class TwistedMatrix:
         return cls(ctx, (0,) * ctx.rank, num, Poly.one())
 
     @property
+    def den(self) -> Poly:
+        """The common denominator: the lcm of the column denominators."""
+        return reduce(_lcm, dict.fromkeys(d for _, d in self.cols))
+
+    @property
+    def num(self) -> list[list[Poly]]:
+        """The numerators over `den`, row by row."""
+        return self._over(self.den)
+
+    def _over(self, L: Poly) -> list[list[Poly]]:
+        """The numerators over L, a multiple of every column denominator, row by row."""
+        cols = [nums if d == L else [v * (L // d) for v in nums] for nums, d in self.cols]
+        return [list(row) for row in zip(*cols)]
+
+    @property
     def shape(self) -> tuple[int, int]:
-        return (len(self.num), len(self.num[0]) if self.num else 0)
+        return (len(self.cols[0][0]) if self.cols else 0, len(self.cols))
 
     def __matmul__(self, other: "TwistedMatrix") -> "TwistedMatrix":
-        """The product, with the common factor of den and all of num divided out."""
+        """The product: with self = num / L over the common denominator,
+        column j is num @ other.num_j / (L other.den_j), its common factor
+        divided out."""
         if self.shape[1] != other.shape[0]:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        num = [[_dot(row, col) for col in zip(*other.num)] for row in self.num]
-        g = den = self.den * other.den
-        for v in (v for row in num for v in row if v):
-            if g.degree() == 0:
-                break
-            g = poly_gcd(g, v)
-        if g.degree() > 0:
-            num, den = [[v // g for v in row] for row in num], den // g
-        return TwistedMatrix(self.ctx, [a + b for a, b in zip(self.q, other.q)], num, den)
+        L = self.den
+        left = self._over(L)
+        cols = [_reduced([_dot(row, nums) for row in left], L * den) for nums, den in other.cols]
+        return TwistedMatrix.from_columns(self.ctx, [a + b for a, b in zip(self.q, other.q)], cols)
 
     def is_zero(self) -> bool:
-        return not any(v for row in self.num for v in row)
+        return not any(v for nums, _ in self.cols for v in nums)
 
-    def _entry(self, v: Poly) -> TwistedFunc:
-        return TwistedFunc(self.ctx, self.q, RatFunc(v, self.den))
+    def _entry(self, v: Poly, den: Poly) -> TwistedFunc:
+        return TwistedFunc(self.ctx, self.q, RatFunc(v, den))
 
     @property
     def rows(self) -> tuple[tuple[TwistedFunc, ...], ...]:
-        return tuple(tuple(self._entry(v) for v in row) for row in self.num)
+        return tuple(
+            tuple(self._entry(nums[i], den) for nums, den in self.cols) for i in range(self.shape[0])
+        )
 
     def column(self, j: int) -> list[TwistedFunc]:
-        return [self._entry(row[j]) for row in self.num]
+        nums, den = self.cols[j]
+        return [self._entry(v, den) for v in nums]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, TwistedMatrix) and self.ctx == other.ctx and self.rows == other.rows
@@ -315,6 +372,77 @@ def _dot(row: Sequence, col: Sequence) -> Poly:
 
 def _lcm(a: Poly, b: Poly) -> Poly:
     return a * (b // poly_gcd(a, b))
+
+
+def _reduced(nums: list[Poly], den: Poly) -> Column:
+    """nums / den with the common factor of den and every entry divided out
+    (the gcd taken with the entries of lowest degree first)."""
+    g = den
+    for v in sorted((v for v in nums if v), key=Poly.degree):
+        if g.degree() == 0:
+            break
+        g = poly_gcd(g, v)
+    if g.degree() > 0:
+        nums, den = [v // g for v in nums], den // g
+    return nums, den
+
+
+# ---------------------------------------------------------------------------
+# Exponentials of square-zero matrices as column updates
+# ---------------------------------------------------------------------------
+
+
+def _square_zero(M: Matrix) -> list[tuple[int, int, Fraction]]:
+    """The nonzero entries (a, b, M_ab) of a constant matrix with M^2 = 0,
+    for which exp(g M) = 1 + g M; ValueError for any other M."""
+    if not mat_is_zero(mat_mul(M, M)):
+        raise ValueError("M^2 != 0: exp(g M) is not 1 + g M")
+    return [(a, b, s) for a, row in enumerate(M) for b, s in enumerate(row) if s]
+
+
+def _plus(target: Column, g: RatFunc, terms: Sequence[tuple[Fraction, Column]]) -> Column:
+    """target + g sum_t s_t column_t over den(g) times the product of the
+    distinct denominators, gcd-reduced once; target itself when every
+    column_t is zero."""
+    terms = [(s, (col, den)) for s, (col, den) in terms if any(col)]
+    if not terms:
+        return target
+    dens = list(dict.fromkeys([target[1], *(col[1] for _, col in terms)]))
+
+    def cofactor(den: Poly) -> Poly:
+        return reduce(mul, [d for d in dens if d != den], Poly.one())
+
+    lift = cofactor(target[1]) * g.den
+    nums = [v * lift for v in target[0]]
+    for s, (col, den) in terms:
+        lift = cofactor(den) * g.num * s
+        nums = [acc + v * lift if v else acc for acc, v in zip(nums, col)]
+    return _reduced(nums, reduce(mul, dens, g.den))
+
+
+def _times_exp(columns: Sequence[Column], M: Matrix, g: RatFunc) -> list[Column]:
+    """The columns of Y exp(g M) for M^2 = 0: Y + g Y M.
+
+    Column b gains g sum_a M_ab column_a of Y and is reduced; the columns
+    where M is zero stay as they are.
+    """
+    sources: dict[int, list[tuple[Fraction, Column]]] = {}
+    for a, b, s in _square_zero(M):
+        sources.setdefault(b, []).append((s, columns[a]))
+    out = list(columns)
+    for b, terms in sources.items():
+        out[b] = _plus(columns[b], g, terms)
+    return out
+
+
+def _exp_times(M: Matrix, g: RatFunc, column: Column) -> Column:
+    """exp(g M) v = v + g M v for M^2 = 0 and the column v."""
+    nums, den = column
+    Mv = [Poly.zero()] * len(nums)
+    for a, b, s in _square_zero(M):
+        if nums[b]:
+            Mv[a] = Mv[a] + nums[b] * s
+    return _plus(column, g, [(Fraction(1), (Mv, den))])
 
 
 def exp_generator(rep_matrix: Matrix, g: RatFunc, ctx: TwistContext) -> TwistedMatrix:
@@ -345,32 +473,39 @@ def apply_miura(D: MiuraOper, rep: MatrixRep, Y: TwistedMatrix) -> TwistedMatrix
 
     For Y = T^q num/den, (T^q)' = lambda T^q with lambda = sum_l q_l T_l'/T_l.
     With L the least common denominator of lambda and the c_j and
-    M = sum_i F_i + sum_j c_j H_j, the result is T^q R / (L den^2) with
-        R = L (num' den - num den') + den (L lambda + L M) num
-          = den (L num' + (L lambda + L M) num) - (L den') num,
-    so D Y = 0 is the one polynomial identity R = 0.
+    M = sum_i F_i + sum_j c_j H_j, column j of the result is T^q R_j / (L den_j^2)
+    with
+        R_j = L (num_j' den_j - num_j den_j') + den_j (L lambda + L M) num_j
+            = den_j (L num_j' + (L lambda + L M) num_j) - (L den_j') num_j,
+    so D Y = 0 is the polynomial identity R_j = 0 for every column.
+    L lambda + L M is built once, over the nonzero entries of M.
     """
-    n = rep.dim
-    if n != Y.shape[0]:
+    if rep.dim != Y.shape[0]:
         raise ValueError("representation and solution dimensions differ")
     T, q = Y.ctx.T, Y.q
     L = reduce(_lcm, [T[l] for l, e in enumerate(q) if e] + [c.den for c in D.h_coords], Poly.one())
     L_lambda = sum((T[l].derivative() * (L // T[l]) * e for l, e in enumerate(q) if e), Poly.zero())
     scalars = [L] + [c.num * (L // c.den) for c in D.h_coords]
-    mats = [reduce(mat_add, rep.F), *rep.H]
-    LM = [[_dot(scalars, [m[a][b] for m in mats]) for b in range(n)] for a in range(n)]
-    for a in range(n):
-        LM[a][a] = LM[a][a] + L_lambda
-    den, L_dden = Y.den, L * Y.den.derivative()
-    R = [
-        [den * (L * v.derivative() + _dot(lm_row, col)) - L_dden * v for v, col in zip(y_row, zip(*Y.num))]
-        for y_row, lm_row in zip(Y.num, LM)
-    ]
-    return TwistedMatrix(Y.ctx, q, R, L * den * den)
+    # row a of L lambda + L M, as (b, entry) over the nonzero entries
+    LM = []
+    for a, row in enumerate(rep.oper_rows):
+        entries = {b: _dot(scalars, coeffs) for b, coeffs in row}
+        if L_lambda:
+            entries[a] = entries.get(a, Poly.zero()) + L_lambda
+        LM.append([(b, lm) for b, lm in entries.items() if lm])
+    columns = []
+    for nums, den in Y.cols:
+        L_dden = L * den.derivative()
+        R = [
+            den * (L * v.derivative() + sum((lm * nums[b] for b, lm in lm_row if nums[b]), Poly.zero())) - L_dden * v
+            for v, lm_row in zip(nums, LM)
+        ]
+        columns.append((R, L * den * den))
+    return TwistedMatrix.from_columns(Y.ctx, q, columns)
 
 
 def _weight_diagonal(ctx: TwistContext, rep: MatrixRep, entries: Sequence[Poly]) -> TwistedMatrix:
-    """prod_j entries_j^(-H_j) T_j^(w_j) as T^q diag(num_k) / den.
+    """prod_j entries_j^(-H_j) T_j^(w_j) as T^q diag(num_k / den_k).
 
     The rows' twists differ by integers (weights of a representation differ
     by roots), so they fold to one q; rows that do not raise.
@@ -391,23 +526,24 @@ def _weight_diagonal(ctx: TwistContext, rep: MatrixRep, entries: Sequence[Poly])
                 down = down * entry ** int(h)
         nums.append(up)
         dens.append(down)
-    den = reduce(_lcm, dens)
-    num = [[nums[k] * (den // dens[k]) if k == c else Poly.zero() for c in range(n)] for k in range(n)]
-    return TwistedMatrix(ctx, q, num, den)
+    zero = Poly.zero()
+    cols = [([zero] * k + [nums[k]] + [zero] * (n - 1 - k), dens[k]) for k in range(n)]
+    return TwistedMatrix.from_columns(ctx, q, cols)
 
 
 def _verify(D: MiuraOper, rep: MatrixRep, Y: TwistedMatrix, label: str) -> None:
     R = apply_miura(D, rep, Y)
-    bad = [(i, j) for i, row in enumerate(R.num) for j, v in enumerate(row) if v]
+    bad = [(i, j) for j, (nums, _) in enumerate(R.cols) for i, v in enumerate(nums) if v]
     if bad:
         i, j = bad[0]
-        raise VerificationError(f"{label}: D Y != 0 at entry {i, j}: {R.rows[i][j]!r}")
+        raise VerificationError(f"{label}: D Y != 0 at entry {i, j}: {R.column(j)[i]!r}")
 
 
 def solution_A(y: PolyTuple, p: ProblemData) -> TwistedMatrix:
     """The SL(r+1)-valued solution built from the diagonal sequences.
 
-    Verifies D Y = 0 exactly before returning.
+    Each factor exp(g F_{i,j}) is 1 + g F_{i,j}, applied as a column
+    update.  Verifies D Y = 0 exactly before returning.
     """
     if p.cartan.family != "A":
         raise UnsupportedTypeError("solution_A needs a type A problem")
@@ -415,12 +551,14 @@ def solution_A(y: PolyTuple, p: ProblemData) -> TwistedMatrix:
     rep = default_rep(p)
     D = miura_from_tuple(y, p)
     ctx = twist_context(p)
-    Y = _weight_diagonal(ctx, rep, y.polys)
+    W = _weight_diagonal(ctx, rep, y.polys)
+    columns = W.cols
     for i in range(1, r + 1):
         steps = calibrated_sequence(y.polys, list(range(i, r + 1)), p)
         for j, step in zip(range(i, r + 1), steps):
             g = RatFunc(step.diagonal, y[j - 1])
-            Y = Y @ exp_generator(nested_bracket(rep, "F", i, j), g, ctx)
+            columns = _times_exp(columns, nested_bracket(rep, "F", i, j), g)
+    Y = TwistedMatrix.from_columns(ctx, W.q, columns)
     _verify(D, rep, Y, "solution_A")
     return Y
 
@@ -442,7 +580,8 @@ def solution_BC(y: PolyTuple, p: ProblemData) -> TwistedMatrix:
     """The Sp(2r)-valued solution for a type B critical tuple.
 
     Uses both the native diagonal sequences and the folded sl_2r ones;
-    verifies D Y = 0 exactly before returning.
+    each factor exp(g M) is 1 + g M, applied as a column update.  Verifies
+    D Y = 0 exactly before returning.
     """
     if p.cartan.family != "B":
         raise UnsupportedTypeError("solution_BC needs a type B problem")
@@ -451,7 +590,8 @@ def solution_BC(y: PolyTuple, p: ProblemData) -> TwistedMatrix:
     D = miura_from_tuple(y, p)
     ctx = twist_context(p)
     u, pA = fold_to_A(y, p)
-    Y = _weight_diagonal(ctx, rep, y.polys)
+    W = _weight_diagonal(ctx, rep, y.polys)
+    columns = W.cols
     for i in range(1, r):
         bsteps = calibrated_sequence(y.polys, list(range(i, r + 1)), p)
         asteps = calibrated_sequence(u.polys, list(range(i, 2 * r - i)), pA)
@@ -461,14 +601,15 @@ def solution_BC(y: PolyTuple, p: ProblemData) -> TwistedMatrix:
                 raise VerificationError("folded and native diagonal sequences diverge")
         for j in range(i, r):
             g = RatFunc(bsteps[j - i].diagonal, y[j - 1])
-            Y = Y @ exp_generator(nested_bracket(rep, "F", i, j), g, ctx)
+            columns = _times_exp(columns, nested_bracket(rep, "F", i, j), g)
         g_half = RatFunc(bsteps[r - i].diagonal, y[r - 1]) * Fraction(1, 2)
-        Y = Y @ exp_generator(nested_bracket(rep, "double", i, r), g_half, ctx)
+        columns = _times_exp(columns, nested_bracket(rep, "double", i, r), g_half)
         for j in range(r, 2 * r - i):
             g = RatFunc(asteps[j - i].diagonal, y[2 * r - j - 1])
-            Y = Y @ exp_generator(nested_bracket(rep, "Fstar", i, 2 * r - j), g, ctx)
+            columns = _times_exp(columns, nested_bracket(rep, "Fstar", i, 2 * r - j), g)
     last = calibrated_sequence(y.polys, [r], p)
-    Y = Y @ exp_generator(rep.F[r - 1], RatFunc(last[0].diagonal, y[r - 1]), ctx)
+    columns = _times_exp(columns, rep.F[r - 1], RatFunc(last[0].diagonal, y[r - 1]))
+    Y = TwistedMatrix.from_columns(ctx, W.q, columns)
     _verify(D, rep, Y, "solution_BC")
     return Y
 
@@ -497,15 +638,15 @@ def solution_general(
         steps = calibrated_sequence(y.polys, indices, p, shifts=shifts)
     except ReproductionError as exc:
         raise ReproductionError(f"invalid path {list(indices)}: {exc}") from exc
-    left = TwistedMatrix.identity(ctx, rep.dim)
-    entries = y.polys
+    gs, entries = [], y.polys
     for step in steps:
         i = step.index
-        g = -log_derivative(RatFunc(step.diagonal, entries[i - 1]))
-        left = left @ exp_generator(rep.E[i - 1], g, ctx)
+        gs.append((rep.E[i - 1], -log_derivative(RatFunc(step.diagonal, entries[i - 1]))))
         entries = step.entries
     diag = _weight_diagonal(ctx, rep, entries)
-    low = TwistedMatrix(ctx, diag.q, [[row[rep.lowest]] for row in diag.num], diag.den)
-    Y = left @ low
+    column = diag.cols[rep.lowest]
+    for E, g in reversed(gs):  # exp(g_1 E_1) ... exp(g_k E_k) v, right to left
+        column = _exp_times(E, g, column)
+    Y = TwistedMatrix.from_columns(ctx, diag.q, [column])
     _verify(D, rep, Y, "solution_general")
     return Y.column(0)

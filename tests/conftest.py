@@ -83,3 +83,26 @@ CURATED_CRITICAL = {
         ("B", 2, [[0, 1], [0, 1]], ["0", "1"], [[], ["1/2"]]),
     ],
 }
+
+
+# Cases for the twisted-field residual (test_solutions) and the oper oracle
+# (test_miura): problem and tuple fixtures, or family and rank of a
+# zero-weight problem; a path.
+RESIDUAL_CASES = {
+    "half": (("half_problem", "half_tuple"), [1]),
+    "a2": (("a2_problem", "a2_tuple"), [1, 2]),
+    "a3": (("a3_problem", "a3_tuple"), [1, 2, 3]),
+    "b2": (("b2_problem", "b2_tuple"), [2, 1]),
+    "a3_zero_weight": (("A", 3), [3, 2, 1]),
+    "b3_zero_weight": (("B", 3), [1, 2, 3]),
+    "c3_zero_weight": (("C", 3), [3, 2, 1]),
+    "d4_zero_weight": (("D", 4), [2, 1, 3, 4]),
+}
+
+
+def residual_case(name, request):
+    """(problem, tuple, path) of a RESIDUAL_CASES entry."""
+    (first, second), path = RESIDUAL_CASES[name]
+    if isinstance(second, int):
+        return problem(first, second), PolyTuple.constants(second), path
+    return request.getfixturevalue(first), request.getfixturevalue(second), path

@@ -488,12 +488,15 @@ class TestEntryPoint:
     """`python -m operpop.cli` in a process of its own."""
 
     @staticmethod
-    def _run(*args):
+    def _argv_env(*args):
         src = str(Path(operpop.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        return subprocess.run(
-            [sys.executable, "-m", "operpop.cli", *args], capture_output=True, text=True, env=env, timeout=120
-        )
+        return [sys.executable, "-m", "operpop.cli", *args], env
+
+    @classmethod
+    def _run(cls, *args):
+        argv, env = cls._argv_env(*args)
+        return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
 
     @pytest.mark.parametrize("args", [["descend"], ["frobnicate"]])
     def test_usage_error_exits_2_with_json(self, args, tmp_path):
@@ -502,6 +505,18 @@ class TestEntryPoint:
         assert done.returncode == 2
         assert done.stderr == ""
         assert json.loads(done.stdout)["error"]
+
+    def test_reader_closing_stdout_early_gives_no_traceback(self, tmp_path):
+        # `operpop populate a5.json | head -c 100`: the report is far larger
+        # than a pipe buffer, so the write meets a closed pipe
+        doc = {"lie_type": "A", "rank": 5, "weights": [], "points": [], "tuple": [["1"]] * 5}
+        argv, env = self._argv_env("populate", write(tmp_path, "p.json", doc))
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            stderr = proc.stderr.read().decode()
+            proc.wait(timeout=120)
+        assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr
 
     def test_small_populate_exits_0(self, tmp_path):
         done = self._run("populate", write(tmp_path, "p.json", A2_N0))
@@ -529,6 +544,7 @@ MALFORMED = [
     (HALF, ["check", "--output", "/nonexistent/dir/report.json"], "--output"),
     (HALF, ["solve", "--rep", "general"], "--rep"),
     (HALF, ["verify", "--rep", "sl"], "--rep"),
+    (dict(HALF, lie_type=["A"]), ["check"], "lie_type"),
 ]
 
 

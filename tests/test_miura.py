@@ -4,8 +4,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import CURATED_CRITICAL, RESIDUAL_CASES, residual_case
+from operpop import miura
 from operpop.exactalg import Poly, RatFunc, log_derivative
-from operpop.critical import PolyTuple, build_T, problem
+from operpop.critical import BetheConfig, PolyTuple, build_T, problem
 from operpop.miura import (
     DeformationError,
     TwistedFunc,
@@ -18,7 +20,7 @@ from operpop.miura import (
     twist_context,
     twisted_wronskian,
 )
-from operpop.population import calibrated_sequence, descend, reproduce_path
+from operpop.population import calibrated_sequence, descend, explore, reproduce_path
 
 X = Poly.x()
 CANON = (F(1), F(0))
@@ -43,6 +45,83 @@ class TestMiuraFromTuple:
         y1, y2 = a2_tuple.polys
         assert D.pairing(1) == -log_derivative(RatFunc(T[0] * y2, y1 * y1))
         assert D.pairing(2) == -log_derivative(RatFunc(T[1] * y1, y2 * y2))
+
+
+def incremental_h_coords(y, p):
+    """c_j = log'(y_j) - sum_l b_jl log'(T_l), one reduced RatFunc addition
+    at a time: the oper's coordinates by a route of their own."""
+    log_T = [log_derivative(RatFunc(t)) if t.degree() > 0 else RatFunc.zero() for t in p.T]
+    coords = []
+    for j in range(p.rank):
+        c = log_derivative(RatFunc(y[j])) if y[j].degree() > 0 else RatFunc.zero()
+        for l in range(p.rank):
+            if p.cartan.b[j][l] != 0 and not log_T[l].is_zero():
+                c = c - log_T[l] * p.cartan.b[j][l]
+        coords.append(c)
+    return tuple(coords)
+
+
+# weighted A3 and B2 problems whose populations give the cell samples below
+CELL_PROBLEMS = {
+    "a3_cells": ("A", 3, [[1, 0, 0], [0, 0, 1]], [0, 2]),
+    "b2_cells": ("B", 2, [[1, 0], [0, 1]], [1, -2]),
+    "c3_cells": ("C", 3, [[0, 1, 0]], [0]),
+}
+
+
+def oracle_groups(name, request):
+    """[(problem, tuples)]: a residual case with every tuple along its path,
+    the desk examples of one type, or the cell samples of a population."""
+    if name in RESIDUAL_CASES:
+        p, y, path = residual_case(name, request)
+        return [(p, [y, *reproduce_path(y, path, None, p).tuples])]
+    if name in CURATED_CRITICAL:
+        return [
+            (problem(family, rank, weights, points), [BetheConfig.of(coords).to_tuple()])
+            for family, rank, weights, points, coords in CURATED_CRITICAL[name]
+        ]
+    family, rank, weights, points = CELL_PROBLEMS[name]
+    p = problem(family, rank, weights, points)
+    return [(p, [cell.sample for cell in explore(PolyTuple.constants(rank), p).cells.values()])]
+
+
+ORACLE_CASES = sorted(RESIDUAL_CASES) + sorted(CURATED_CRITICAL) + sorted(CELL_PROBLEMS)
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_h_coords_match_the_incremental_formula(name, request):
+    checked = 0
+    for p, tuples in oracle_groups(name, request):
+        for y in tuples:
+            assert miura_from_tuple(y, p).h_coords == incremental_h_coords(y, p)
+            checked += 1
+    assert checked >= 1
+
+
+@pytest.mark.parametrize("name", ["a2", "b2", "a3", "a3_cells", "b2_cells", "c3_cells"])
+def test_a_corrupted_coordinate_is_caught(name, request, monkeypatch):
+    # double the numerator of coordinate j: the pairings v = a c change, so the
+    # cross-multiplied identity fails in some direction
+    honest = miura._h_coordinate
+    corrupted = 0
+    for p, tuples in oracle_groups(name, request):
+        for y in tuples:
+            coords = miura_from_tuple(y, p).h_coords
+            for j in range(p.rank):
+                if coords[j].is_zero():
+                    continue  # doubling zero changes nothing
+                calls = iter(range(p.rank))
+
+                def doubled(y_j, T, b_row, j=j, calls=calls):
+                    c = honest(y_j, T, b_row)
+                    return RatFunc(c.num * 2, c.den) if next(calls) == j else c
+
+                monkeypatch.setattr(miura, "_h_coordinate", doubled)
+                with pytest.raises(AssertionError, match="oper pairing invariant failed"):
+                    miura_from_tuple(y, p)
+                monkeypatch.setattr(miura, "_h_coordinate", honest)
+                corrupted += 1
+    assert corrupted >= 2
 
 
 class TestRiccati:

@@ -5,6 +5,8 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from conftest import RESIDUAL_CASES, residual_case
+
 from operpop.exactalg import Poly, RatFunc
 from operpop.critical import PolyTuple, problem
 from operpop.liedata import cartan_data, langlands_dual, weyl_elements
@@ -463,26 +465,6 @@ def twisted_residual(y, p, rows):
     return out
 
 
-# (problem and tuple fixtures, or family and rank of a zero-weight problem; a path)
-RESIDUAL_CASES = {
-    "half": (("half_problem", "half_tuple"), [1]),
-    "a2": (("a2_problem", "a2_tuple"), [1, 2]),
-    "a3": (("a3_problem", "a3_tuple"), [1, 2, 3]),
-    "b2": (("b2_problem", "b2_tuple"), [2, 1]),
-    "a3_zero_weight": (("A", 3), [3, 2, 1]),
-    "b3_zero_weight": (("B", 3), [1, 2, 3]),
-    "c3_zero_weight": (("C", 3), [3, 2, 1]),
-    "d4_zero_weight": (("D", 4), [2, 1, 3, 4]),
-}
-
-
-def _case(name, request):
-    (first, second), path = RESIDUAL_CASES[name]
-    if isinstance(second, int):
-        return problem(first, second), PolyTuple.constants(second), path
-    return request.getfixturevalue(first), request.getfixturevalue(second), path
-
-
 def _builders(p, y, path):
     matrix = {"A": solution_A, "B": solution_BC}.get(p.cartan.family)
     if matrix:
@@ -493,7 +475,7 @@ def _builders(p, y, path):
 
 @pytest.mark.parametrize("name", sorted(RESIDUAL_CASES))
 def test_solutions_solve_D_in_the_twisted_field(name, request):
-    p, y, path = _case(name, request)
+    p, y, path = residual_case(name, request)
     for rows in _builders(p, y, path):
         for row in twisted_residual(y, p, rows):
             assert all(v.is_zero() for v in row)
@@ -501,7 +483,7 @@ def test_solutions_solve_D_in_the_twisted_field(name, request):
 
 @pytest.mark.parametrize("name", ["half", "a2", "b2"])
 def test_an_entry_plus_one_is_caught(name, request, monkeypatch):
-    p, y, path = _case(name, request)
+    p, y, path = residual_case(name, request)
     ctx = twist_context(p)
     for rows in _builders(p, y, path):
         rows = [list(row) for row in rows]
@@ -548,3 +530,95 @@ def test_the_population_gives_all_solutions(family, rank, weights, points):
          for polys in cleared]
     )
     assert stacked.rank() == default_rep(p).dim
+
+
+# ---------------------------------------------------------------------------
+# exp(g M) = 1 + g M: the builders' factors square to zero
+# ---------------------------------------------------------------------------
+
+
+def builder_brackets(rep, family):
+    """The nested brackets that solution_A (A) or solution_BC (B) exponentiates."""
+    r = rep.rank
+    if family == "A":
+        return [nested_bracket(rep, "F", i, j) for i in range(1, r + 1) for j in range(i, r + 1)]
+    out = [rep.F[r - 1]]
+    for i in range(1, r):
+        out += [nested_bracket(rep, "F", i, j) for j in range(i, r)]
+        out.append(nested_bracket(rep, "double", i, r))
+        out += [nested_bracket(rep, "Fstar", i, k) for k in range(i + 1, r + 1)]
+    return out
+
+
+SQUARE_ZERO_TYPES = [("A", r) for r in range(1, 6)] + [("B", r) for r in range(2, 5)] + [("C", 3), ("D", 4), ("E", 6)]
+
+
+@pytest.mark.parametrize("family, rank", SQUARE_ZERO_TYPES)
+def test_root_vectors_of_minuscule_reps_square_to_zero(family, rank):
+    # every weight pairs with every coroot in {-1, 0, 1}, so no root string
+    # through a weight has length > 2
+    rep = rep_minuscule(family, rank)
+    factors = [*rep.F, *rep.E] + (builder_brackets(rep, family) if family in "AB" else [])
+    for M in factors:
+        assert not mat_is_zero(M) and mat_is_zero(mat_mul(M, M))
+        assert solutions._square_zero(M)
+
+
+def _frac_matrix(rows):
+    return tuple(tuple(F(v) for v in row) for row in rows)
+
+
+# square-zero matrices: a bracket of sl_3, and one whose row 0 is also a
+# column it writes to (M = u v^T with v.u = 0), so updates must read old columns
+SQUARE_ZERO = {
+    "bracket": nested_bracket(rep_standard_sl(3), "F", 1, 2),
+    "overlapping": _frac_matrix([[1, 1, 0], [-1, -1, 0], [2, 2, 0]]),
+    "two_sources": _frac_matrix([[0, 0, 0], [3, 0, 0], [F(1, 2), 0, 0]]),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(SQUARE_ZERO)))
+def test_column_updates_match_the_exponential(data, name):
+    M = SQUARE_ZERO[name]
+    q, num, den = data.draw(twisted_matrices(3, 3))
+    Y = TwistedMatrix(A2_CTX, q, num, den)
+    g = RatFunc(data.draw(POLYS), Poly.from_roots(data.draw(DENS)[0]))
+    exp_gM = exp_generator(M, g, A2_CTX)
+    right = TwistedMatrix.from_columns(A2_CTX, Y.q, solutions._times_exp(Y.cols, M, g))
+    assert right == Y @ exp_gM
+    for j in range(3):
+        column = TwistedMatrix.from_columns(A2_CTX, Y.q, [solutions._exp_times(M, g, Y.cols[j])])
+        assert column == exp_gM @ TwistedMatrix.from_columns(A2_CTX, Y.q, [Y.cols[j]])
+
+
+def test_a_factor_with_nonzero_square_raises(half_problem):
+    # nilpotent (M^3 = 0) but M^2 != 0: 1 + g M is not exp(g M)
+    ctx = twist_context(half_problem)
+    M = _frac_matrix([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+    Y = TwistedMatrix.identity(ctx, 3)
+    with pytest.raises(ValueError, match=r"M\^2 != 0"):
+        solutions._times_exp(Y.cols, M, RatFunc(X))
+    with pytest.raises(ValueError, match=r"M\^2 != 0"):
+        solutions._exp_times(M, RatFunc(X), Y.cols[0])
+
+
+def test_builders_make_no_matrix_product(monkeypatch, a3_problem, a3_tuple, b2_problem, b2_tuple):
+    def forbidden(*args):
+        raise AssertionError("an n x n product")
+
+    monkeypatch.setattr(solutions, "exp_generator", forbidden)
+    monkeypatch.setattr(TwistedMatrix, "__matmul__", forbidden)
+    assert solution_A(a3_tuple, a3_problem).shape == (4, 4)
+    assert solution_BC(b2_tuple, b2_problem).shape == (4, 4)
+    assert len(solution_general(b2_tuple, [2, 1], b2_problem)) == 4
+    assert len(solution_general(PolyTuple.constants(6), [1, 3, 4, 5, 6, 2], problem("E", 6))) == 27
+
+
+def test_weight_diagonal_columns_keep_their_own_denominators(a2_problem, a2_tuple):
+    rep = default_rep(a2_problem)
+    W = solutions._weight_diagonal(twist_context(a2_problem), rep, a2_tuple.polys)
+    dens = [den for _, den in W.cols]
+    assert len(set(dens)) > 1
+    # the common-denominator view is the same matrix
+    assert TwistedMatrix(W.ctx, W.q, W.num, W.den) == W
