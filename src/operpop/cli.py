@@ -38,6 +38,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence, TextIO
 
 from .exactalg import Poly
@@ -162,7 +163,7 @@ def echo_problem(p: ProblemData, y: PolyTuple, extras: dict) -> dict:
         "rank": p.cartan.rank,
         "weights": [[str(v) for v in w] for w in p.weights],
         "points": [str(z) for z in p.points],
-        "tuple": [[str(c) for c in poly.coeffs] for poly in y.polys],
+        "tuple": [_poly_strs(poly) for poly in y.polys],
     }
     if "path" in extras:
         doc["path"] = list(extras["path"])
@@ -172,7 +173,11 @@ def echo_problem(p: ProblemData, y: PolyTuple, extras: dict) -> dict:
 
 
 def _poly_strs(poly: Poly) -> list[str]:
-    return [str(c) for c in poly.coeffs]
+    """[str(c) for c in poly.coeffs], read from the stored ints without building Fractions."""
+    den = poly._den
+    if den == 1:
+        return [str(n) for n in poly._num]
+    return [f"{n // g}/{den // g}" if (g := gcd(n, den)) != den else str(n // g) for n in poly._num]
 
 
 def _twisted_entry(v) -> dict:
@@ -379,7 +384,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def _emit(report: dict, output: Optional[TextIO], started: float) -> None:
     report["elapsed_s"] = round(time.perf_counter() - started, 6)
-    text = json.dumps(report, indent=2)
+    text = json.dumps(report)  # one line: without indent, json uses its C encoder
     if output is None:
         try:
             print(text, flush=True)

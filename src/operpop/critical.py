@@ -242,10 +242,14 @@ def fertility_direction(y: PolyTuple, i: int, p: ProblemData) -> Optional[Poly]:
     Postcondition on success: wronskian(y_i, result) is a nonzero constant
     multiple of the relation right-hand side.
     """
-    yi = y[i - 1]
-    if not squarefree(yi):
+    if not squarefree(y[i - 1]):
         raise FertilityError(f"y_{i} has a multiple root; tuple is not generic in direction {i}")
-    u = wronskian_partner(yi, wronskian_rhs(y, i, p))
+    return canonical_partner(y, i, p)
+
+
+def canonical_partner(y: PolyTuple, i: int, p: ProblemData) -> Optional[Poly]:
+    """`fertility_direction` for a tuple whose y_i is known to be squarefree."""
+    u = wronskian_partner(y[i - 1], wronskian_rhs(y, i, p))
     return None if u is None else u.monic()
 
 

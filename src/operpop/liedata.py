@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import lcm
+from operator import mul
 from typing import Callable, Iterator, Sequence
 
 Weight = tuple[Fraction, ...]
@@ -308,15 +309,18 @@ def degrees_for(word: WeylWord, weights: Sequence[Weight], l: Sequence[int], c: 
     return tuple(int(x) for x in lw)
 
 
-def shifted_reflect_degrees(i: int, l: Sequence[int], weights: Sequence[Weight], c: CartanData) -> tuple:
-    """l^{s_i w} from l^w: l_i -> deg T_i - sum_{j != i} a_ij l_j + 1 - l_i, in integers."""
-    row = c.a[i - 1]
+def shifted_reflect_degrees(i: int, l: Sequence[int], deg_t: Sequence[int], c: CartanData) -> tuple:
+    """l^{s_i w} from l^w: l_i -> deg T_i - sum_{j != i} a_ij l_j + 1 - l_i, in integers.
+
+    `deg_t` is (deg T_1, ..., deg T_r), the column sums of the weights.
+    """
     out = list(l)
-    deg_t = sum(int(w[i - 1]) for w in weights)  # the i-th weight coordinates
-    out[i - 1] = deg_t + 1 + l[i - 1] - sum(a * m for a, m in zip(row, l))  # a_ii = 2
+    out[i - 1] = deg_t[i - 1] + 1 + l[i - 1] - sum(map(mul, c.a[i - 1], l))  # a_ii = 2
     return tuple(out)
 
 
-def cell_words(l: Sequence[int], weights: Sequence[Weight], c: CartanData) -> dict[tuple, tuple[int, ...]]:
-    """{l^w: w} over W from base degrees l, w shortest; a negative l^w labels no cell."""
-    return dict(_orbit(tuple(l), lambda i, m: shifted_reflect_degrees(i, m, weights, c), c.rank))
+def cell_words(l: Sequence[int], weights: Sequence[Weight], c: CartanData) -> Iterator[tuple[tuple, tuple]]:
+    """(l^w, w) over W from base degrees l, breadth first, w shortest; a
+    negative l^w labels no cell.  Stop early to label only nearby cells."""
+    deg_t = [sum(int(w[i]) for w in weights) for i in range(c.rank)]
+    return _orbit(tuple(l), lambda i, m: shifted_reflect_degrees(i, m, deg_t, c), c.rank)

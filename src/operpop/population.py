@@ -29,12 +29,14 @@ Suppose x0 is a common root of ~y and T_i, or of ~y and a linked y_j.  Then
 the right-hand side vanishes at x0, while W(y_i, ~y)(x0) = y_i(x0) ~y'(x0):
 y_i(x0) != 0 because y is generic, and ~y'(x0) != 0 because ~y is
 squarefree, a contradiction.  So `explore` keeps one flag per cell (is its
-sample generic?) and runs the full `is_generic` only on the seed and on the
-children of a non-generic sample.
+sample generic?), runs the full `is_generic` only on the seed and on the
+children of a non-generic sample, and descends from a generic sample by
+`canonical_partner`, which skips the squarefree test of y_i.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -44,6 +46,7 @@ from .critical import (
     FertilityError,
     PolyTuple,
     ProblemData,
+    canonical_partner,
     fertility_direction,
     is_generic,
     wronskian_rhs,
@@ -85,7 +88,10 @@ class DescendantFamily:
 
 
 def descend_family(y: PolyTuple, i: int, p: ProblemData) -> DescendantFamily:
-    tilde = fertility_direction(y, i, p)
+    return _family(y, i, fertility_direction(y, i, p))
+
+
+def _family(y: PolyTuple, i: int, tilde: Optional[Poly]) -> DescendantFamily:
     if tilde is None:
         raise ReproductionError(f"tuple is not fertile in direction {i}")
     return DescendantFamily(base=y, direction=i, canonical=tilde)
@@ -268,43 +274,43 @@ def explore(seed: PolyTuple, p: ProblemData, max_cells: Optional[int] = None) ->
 
     Each degree vector is expanded once, into the directions whose shifted
     reflection is a new degree vector, so the walk stays in the finite
-    shifted Weyl orbit of the seed degrees.  Samples are generic members
-    whenever the family has one among the scanned parameters.  Cells are
-    labeled by the Weyl word reproducing their degree vector from the
-    dominant base member.
+    shifted Weyl orbit of the seed degrees; it stops at `max_cells` cells.
+    Samples are generic members whenever the family has one among the
+    scanned parameters.  Cells are labeled by the Weyl word reproducing
+    their degree vector from the dominant base member.
     """
     seed_report = is_generic(seed, p)
     if not seed_report:
         raise ExplorationError(f"seed is not generic: {seed_report.reason}")
+    limit = float("inf") if max_cells is None else max_cells
+    deg_t = [t.degree() for t in p.T]
     # degrees -> (sample, degree jumps along the reaching path, sample is generic)
     seen: dict[tuple[int, ...], tuple[PolyTuple, int, bool]] = {seed.degrees: (seed, 0, True)}
-    frontier = [seed.degrees]
+    queue = deque([seed.degrees])
     exceptional: list[str] = []
-    while frontier:
-        nxt: list[tuple[int, ...]] = []
-        for key in frontier:
-            sample, jumps, sample_generic = seen[key]
-            for i in range(1, p.rank + 1):
-                ckey = shifted_reflect_degrees(i, key, p.weights, p.cartan)
-                if ckey in seen:
-                    continue
-                try:
-                    family = descend_family(sample, i, p)
-                except (FertilityError, ReproductionError) as exc:
-                    exceptional.append(f"{key} direction {i}: {exc}")
-                    continue
-                if (degree := family.canonical.degree()) != ckey[i - 1]:
-                    raise ExplorationError(f"{key} direction {i}: degree {degree}, s_i predicts {ckey[i - 1]}")
-                member, canonical_ok, member_generic = _generic_member(family, p, sample_generic)
-                if not canonical_ok:
-                    exceptional.append(f"{key} direction {i}: canonical member not generic")
-                jump = 1 if ckey[i - 1] > key[i - 1] else 0
-                seen[ckey] = (member, jumps + jump, member_generic)
-                nxt.append(ckey)
-            if max_cells is not None and len(seen) >= max_cells:
-                nxt = []
+    while queue and len(seen) < limit:
+        key = queue.popleft()
+        sample, jumps, sample_generic = seen[key]
+        for i in range(1, p.rank + 1):
+            ckey = shifted_reflect_degrees(i, key, deg_t, p.cartan)
+            if ckey in seen:
+                continue
+            solve = canonical_partner if sample_generic else fertility_direction
+            try:
+                family = _family(sample, i, solve(sample, i, p))
+            except (FertilityError, ReproductionError) as exc:
+                exceptional.append(f"{key} direction {i}: {exc}")
+                continue
+            if (degree := family.canonical.degree()) != ckey[i - 1]:
+                raise ExplorationError(f"{key} direction {i}: degree {degree}, s_i predicts {ckey[i - 1]}")
+            member, canonical_ok, member_generic = _generic_member(family, p, sample_generic)
+            if not canonical_ok:
+                exceptional.append(f"{key} direction {i}: canonical member not generic")
+            jump = 1 if ckey[i - 1] > key[i - 1] else 0
+            seen[ckey] = (member, jumps + jump, member_generic)
+            queue.append(ckey)
+            if len(seen) >= limit:
                 break
-        frontier = nxt
 
     # locate the dominant base member
     base_degrees = None
@@ -316,7 +322,12 @@ def explore(seed: PolyTuple, p: ProblemData, max_cells: Optional[int] = None) ->
     if base_degrees is None:
         raise ExplorationError("no member with dominant weight at infinity was reached")
 
-    labels = cell_words(base_degrees, p.weights, p.cartan)
+    labels = {}
+    for degs, word in cell_words(base_degrees, p.weights, p.cartan):
+        if degs in seen:
+            labels[degs] = word
+            if len(labels) == len(seen):  # the rest of W labels no reached cell
+                break
     cells = {}
     for degs, (sample, jumps, _) in seen.items():
         word = labels[degs]
@@ -337,7 +348,7 @@ def explore(seed: PolyTuple, p: ProblemData, max_cells: Optional[int] = None) ->
 
 def cell_of(y: PolyTuple, base_degrees: Sequence[int], p: ProblemData) -> tuple[int, ...]:
     """Shortest Weyl word w with l^w = deg y, from base degrees."""
-    word = cell_words(base_degrees, p.weights, p.cartan).get(y.degrees)
-    if word is None:
-        raise CellError(f"no Weyl word reproduces degrees {y.degrees} from base {tuple(base_degrees)}")
-    return word
+    for degs, word in cell_words(base_degrees, p.weights, p.cartan):
+        if degs == y.degrees:
+            return word
+    raise CellError(f"no Weyl word reproduces degrees {y.degrees} from base {tuple(base_degrees)}")

@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import operpop
 from operpop import miura, solutions
-from operpop.cli import FIELDS, build_parser, main, parse_problem
+from operpop.cli import FIELDS, _poly_strs, build_parser, main, parse_problem
 from operpop.exactalg import Poly
 
 
@@ -118,6 +119,22 @@ class TestPopulate:
         assert report["cell_count"] == count
         for row in report["cells"]:
             assert row["length"] == len(row["weyl_word"])
+
+    def test_max_cells_caps_the_report(self, tmp_path, capsys):
+        doc = {"lie_type": "E", "rank": 6, "weights": [], "points": [], "tuple": [["1"]] * 6}
+        code, report = run(["populate", write(tmp_path, "p.json", doc), "--max-cells", "10"], tmp_path, capsys)
+        assert code == 0
+        assert report["cell_count"] == len(report["cells"]) == 10
+
+
+FRACTIONS = st.fractions() | st.builds(F, st.integers(-(2**200), 2**200), st.integers(1, 2**200))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(FRACTIONS | st.integers(-(2**80), 2**80) | st.just(0), max_size=8))
+def test_coefficient_strings_match_fraction_str(coeffs):
+    poly = Poly(coeffs)
+    assert _poly_strs(poly) == [str(c) for c in poly.coeffs]
 
 
 class TestSolve:
@@ -522,6 +539,7 @@ class TestEntryPoint:
         done = self._run("populate", write(tmp_path, "p.json", A2_N0))
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout)["cell_count"] == 6
+        assert done.stdout.count("\n") == 1  # one compact JSON line
 
 
 RANK_80 = {"lie_type": "A", "rank": 80, "weights": [], "points": [], "tuple": []}

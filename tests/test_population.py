@@ -7,8 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from operpop.exactalg import Poly, squarefree, wronskian, wronskian_partner
 from operpop.critical import PolyTuple, build_T, fertility_direction, is_generic, problem
-from operpop.liedata import degrees_for, weyl_elements, weyl_length
-from operpop import population
+from operpop.liedata import degrees_for, shifted_reflect_degrees, weyl_elements, weyl_length
+from operpop import liedata, population
 from operpop.population import (
     ExplorationError,
     ReproductionError,
@@ -231,23 +231,39 @@ class TestExplore:
         [("D", 4, [], []), ("G", 2, [[1, 0], [0, 1]], [0, 1])],
     )
     def test_one_descent_per_new_cell(self, family, rank, weights, points, monkeypatch):
+        # explore solves for a partner through fertility_direction, or through
+        # canonical_partner when the sample is known generic: count both
         calls = []
 
-        def counting(y, i, p):
-            calls.append(i)
-            return descend_family(y, i, p)
+        def counting(solve):
+            def wrapped(y, i, p):
+                calls.append(i)
+                return solve(y, i, p)
 
-        monkeypatch.setattr(population, "descend_family", counting)
+            return wrapped
+
+        for name in ("fertility_direction", "canonical_partner"):
+            monkeypatch.setattr(population, name, counting(getattr(population, name)))
         p = problem(family, rank, weights, points)
         summary = explore(PolyTuple.constants(rank), p)
         assert len(calls) == len(summary) - 1
 
-    def test_wrong_canonical_degree_raises(self, monkeypatch):
-        def too_high(y, i, p):
-            tilde = fertility_direction(y, i, p)
-            return None if tilde is None else tilde * X
+    def test_generic_sample_is_not_tested_for_squarefree_again(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(population, "fertility_direction", lambda y, i, p: calls.append(i))
+        summary = explore(PolyTuple.constants(4), problem("D", 4))
+        assert len(summary) == 192 and calls == []
 
-        monkeypatch.setattr(population, "fertility_direction", too_high)
+    def test_wrong_canonical_degree_raises(self, monkeypatch):
+        def too_high(solve):
+            def wrapped(y, i, p):
+                tilde = solve(y, i, p)
+                return None if tilde is None else tilde * X
+
+            return wrapped
+
+        for name in ("fertility_direction", "canonical_partner"):
+            monkeypatch.setattr(population, name, too_high(getattr(population, name)))
         with pytest.raises(ExplorationError, match="predicts 1"):
             explore(PolyTuple.constants(1), problem("A", 1))
 
@@ -257,6 +273,32 @@ class TestExplore:
         summary = explore(PolyTuple.constants(2), problem("B", 2))
         assert summary.exceptional
         assert len(summary) == 8
+
+    @pytest.mark.parametrize("name", ["B2", "G2", "A3"])
+    def test_max_cells_is_exact(self, name):
+        family, rank, weights = WEIGHTED[name]
+        p = problem(family, rank, weights, [0, 1])
+        full = explore(PolyTuple.constants(rank), p)
+        for n in range(1, rank + 3):
+            capped = explore(PolyTuple.constants(rank), p, max_cells=n)
+            assert len(capped) == min(n, len(full))
+            for degs, cell in capped.cells.items():
+                assert cell.sample == full.cells[degs].sample
+                assert cell.word == cell_of(cell.sample, capped.base_degrees, p)
+
+    def test_label_walk_stops_at_the_reached_cells(self, monkeypatch):
+        # the label walk calls liedata's shifted_reflect_degrees once per
+        # point and letter; over all of W that is |W| * rank = 311040 on E6
+        points = []
+
+        def counting(i, l, deg_t, c):
+            points.append(l)
+            return shifted_reflect_degrees(i, l, deg_t, c)
+
+        monkeypatch.setattr(liedata, "shifted_reflect_degrees", counting)
+        summary = explore(PolyTuple.constants(6), problem("E", 6), max_cells=10)
+        assert len(summary) == 10
+        assert 0 < len(points) <= 100
 
 
 class TestCellOf:
