@@ -232,15 +232,22 @@ def cmd_descend(p: ProblemData, y: PolyTuple, extras: dict, report: dict, direct
 
 def cmd_populate(p: ProblemData, y: PolyTuple, extras: dict, report: dict, max_cells: Optional[int]) -> int:
     summary = explore(y, p, max_cells=max_cells)
+    # cells share most entries with their neighbours: render each distinct one once
+    strs: dict[Poly, list[str]] = {}
     rows = []
     for degs in sorted(summary.cells):
         cell = summary.cells[degs]
+        sample = []
+        for q in cell.sample.polys:
+            if (s := strs.get(q)) is None:
+                s = strs[q] = _poly_strs(q)
+            sample.append(s)
         rows.append(
             {
                 "degrees": list(degs),
                 "weyl_word": list(cell.word),
                 "length": cell.dimension,
-                "sample": [_poly_strs(q) for q in cell.sample.polys],
+                "sample": sample,
             }
         )
     report["base_degrees"] = list(summary.base_degrees)

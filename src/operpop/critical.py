@@ -98,9 +98,15 @@ class PolyTuple:
         return tuple(p.degree() for p in self.polys)
 
     def replace(self, i: int, p: Poly) -> "PolyTuple":
+        """This tuple with entry i (1-based) replaced by p, made monic; the
+        other entries are monic already."""
+        if p.is_zero():
+            raise ValueError("tuple entries must be nonzero")
         polys = list(self.polys)
-        polys[i - 1] = p
-        return PolyTuple(polys)
+        polys[i - 1] = p.monic()
+        out = object.__new__(PolyTuple)
+        out.polys = tuple(polys)
+        return out
 
     def __len__(self) -> int:
         return len(self.polys)
@@ -222,15 +228,18 @@ def _residuals(groups: Sequence[Sequence], p: ProblemData, num: type) -> list:
 
 
 def wronskian_rhs(y: Sequence[Poly], i: int, p: ProblemData) -> Poly:
-    """T_i * prod_{j != i} y_j^(-a_ij): the target of the i-th relation."""
-    N = p.T[i - 1]
+    """T_i * prod_{j != i} y_j^(-a_ij): the target of the i-th relation.
+
+    T_i is monic, so a constant T_i is 1 and is not multiplied in."""
+    T = p.T[i - 1]
+    N = T if T.degree() else None
     for j in range(1, p.rank + 1):
         if j == i:
             continue
         e = -p.cartan.a[i - 1][j - 1]
         if e:
-            N = N * y[j - 1] ** e
-    return N
+            N = y[j - 1] ** e if N is None else N * y[j - 1] ** e
+    return T if N is None else N
 
 
 def fertility_direction(y: PolyTuple, i: int, p: ProblemData) -> Optional[Poly]:

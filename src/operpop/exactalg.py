@@ -583,10 +583,22 @@ def wronskian(f: Poly, g: Poly) -> Poly:
 
 
 def squarefree(f: Poly) -> bool:
-    """True iff f has no repeated roots, i.e. gcd(f, f') is constant."""
-    if f.is_zero():
+    """True iff f has no repeated roots, i.e. gcd(f, f') is constant.
+
+    The gcd does not change under scaling, so the certificate of `poly_gcd`
+    runs on the integer numerators F = den * f and F' directly: when _P
+    does not divide lc F (nor deg F, which is far below _P), coprime images
+    mod _P prove gcd(f, f') = 1.  Otherwise Euclid over Q decides.
+    """
+    nums = f._num
+    if not nums:
         raise ValueError("squarefree is undefined for the zero polynomial")
-    if f.degree() == 0:
+    d = len(nums) - 1
+    if d == 0:
+        return True
+    if nums[-1] % _P and _coprime_mod_p(
+        [c % _P for c in reversed(nums)], [k * nums[k] % _P for k in range(d, 0, -1)]
+    ):
         return True
     return poly_gcd(f, f.derivative()).degree() == 0
 
@@ -653,6 +665,8 @@ def wronskian_partner(y: Poly, N: Poly) -> Optional[Poly]:
     if y._den != 1:
         u = [x * y._den for x in u]
     partner = _poly(u, scale * N._den)
+    if partner.degree() < d:  # partner // y = 0
+        return partner
     shift = (partner // y).coeff(0)
     return partner - y * shift if shift else partner
 

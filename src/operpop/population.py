@@ -32,6 +32,21 @@ squarefree, a contradiction.  So `explore` keeps one flag per cell (is its
 sample generic?), runs the full `is_generic` only on the seed and on the
 children of a non-generic sample, and descends from a generic sample by
 `canonical_partner`, which skips the squarefree test of y_i.
+
+Commuting reflections share their partner solve.  Lemma: for a generic y,
+the outcome of the descent in direction i (the canonical entry ~y, whether
+it is generic, and the fallback member taken otherwise) depends only on i,
+y_i and the y_j with a_ij != 0.  Proof: ~y solves W(y_i, ~y) = T_i
+prod_{j != i} y_j^(-a_ij), whose factors are T_i and the linked y_j.  By the
+lemma above a member c1 ~y + c2 y_i is generic iff it is squarefree, and
+the fallback scan compares the member's degree vector, which differs from
+that of y only at i.  So the samples of two cells that agree at i and at
+the nodes linked to i descend alike in direction i.  That happens for every
+a_ik = 0: s_k changes only y_k, so the i-descents of w and of s_k w, which
+reach the cells of s_i w and s_i s_k w = s_k s_i w, are one solve.
+`explore` keeps the outcomes of one call by that key; a non-generic sample
+is decided by the full `is_generic`, which reads every entry, and is never
+looked up.
 """
 
 from __future__ import annotations
@@ -51,13 +66,7 @@ from .critical import (
     is_generic,
     wronskian_rhs,
 )
-from .liedata import (
-    CellError,
-    cell_words,
-    is_dominant_integral,
-    shifted_reflect_degrees,
-    weight_at_infinity,
-)
+from .liedata import CellError, cell_words, shifted_reflect_degrees, weight_at_infinity
 
 
 class ReproductionError(ValueError):
@@ -81,6 +90,8 @@ class DescendantFamily:
         c1, c2 = Fraction(c1), Fraction(c2)
         if c1 == 0 and c2 == 0:
             raise ValueError("projective parameter (0 : 0) is not allowed")
+        if c2 == 0:  # c1 * canonical, made monic by `replace`
+            return self.base.replace(self.direction, self.canonical)
         new = self.canonical * c1 + self.base[self.direction - 1] * c2
         if new.is_zero():
             raise ValueError("degenerate parameter: member collapses to zero")
@@ -269,6 +280,29 @@ def _generic_member(
     return canonical, False, False
 
 
+def _dominant_degrees(l: tuple[int, ...], deg_t: Sequence[int], p: ProblemData) -> tuple[int, ...]:
+    """The degree vector of the shifted orbit of l whose weight at infinity
+    is dominant: the base of the cell labels.
+
+    The weight at infinity of l has coordinates m_i = deg T_i - sum_j a_ij l_j,
+    and the shifted reflection s_i maps m_i to -m_i - 2 while lowering l_i by
+    -(m_i + 1).  So reflecting in a node with m_i <= -2 strictly lowers
+    sum(l), and the descent ends at the dominant point.  A node with
+    m_i = -1 is a fixed point of s_i: the orbit has no dominant point.
+    """
+    while True:
+        m = weight_at_infinity(p.weights, l, p.cartan)
+        i = next((k for k, v in enumerate(m, start=1) if v < 0), 0)
+        if not i:
+            break
+        if m[i - 1] == -1:
+            raise ExplorationError(f"degrees {l} lie on a wall: s_{i} fixes them, so no cell is dominant")
+        l = shifted_reflect_degrees(i, l, deg_t, p.cartan)
+    if min(l) < 0:
+        raise ExplorationError(f"the dominant point {l} of the shifted orbit has a negative degree")
+    return l
+
+
 def explore(seed: PolyTuple, p: ProblemData, max_cells: Optional[int] = None) -> PopulationSummary:
     """Breadth-first closure of the population over canonical descents.
 
@@ -276,16 +310,25 @@ def explore(seed: PolyTuple, p: ProblemData, max_cells: Optional[int] = None) ->
     reflection is a new degree vector, so the walk stays in the finite
     shifted Weyl orbit of the seed degrees; it stops at `max_cells` cells.
     Samples are generic members whenever the family has one among the
-    scanned parameters.  Cells are labeled by the Weyl word reproducing
-    their degree vector from the dominant base member.
+    scanned parameters.  A descent from a generic sample is solved once per
+    distinct (i, y_i, linked y_j) for the length of the call (the second
+    lemma of the module docstring).  Cells are labeled by the Weyl word
+    reproducing their degree vector from the dominant point of the seed's
+    shifted orbit.
     """
     seed_report = is_generic(seed, p)
     if not seed_report:
         raise ExplorationError(f"seed is not generic: {seed_report.reason}")
     limit = float("inf") if max_cells is None else max_cells
     deg_t = [t.degree() for t in p.T]
+    base_degrees = _dominant_degrees(seed.degrees, deg_t, p)
+    a = p.cartan.a
+    linked = [[j for j in range(p.rank) if j != i and a[i][j]] for i in range(p.rank)]
     # degrees -> (sample, degree jumps along the reaching path, sample is generic)
     seen: dict[tuple[int, ...], tuple[PolyTuple, int, bool]] = {seed.degrees: (seed, 0, True)}
+    # (i, y_i, linked y_j) of a generic sample -> (new entry, canonical ok,
+    # member generic), or the message of a failed descent
+    outcomes: dict[tuple, object] = {}
     queue = deque([seed.degrees])
     exceptional: list[str] = []
     while queue and len(seen) < limit:
@@ -295,32 +338,23 @@ def explore(seed: PolyTuple, p: ProblemData, max_cells: Optional[int] = None) ->
             ckey = shifted_reflect_degrees(i, key, deg_t, p.cartan)
             if ckey in seen:
                 continue
-            solve = canonical_partner if sample_generic else fertility_direction
-            try:
-                family = _family(sample, i, solve(sample, i, p))
-            except (FertilityError, ReproductionError) as exc:
-                exceptional.append(f"{key} direction {i}: {exc}")
+            if sample_generic:
+                descent = (i, sample[i - 1], *[sample[j] for j in linked[i - 1]])
+                if (outcome := outcomes.get(descent)) is None:
+                    outcome = outcomes[descent] = _descent(sample, i, p, True, key, ckey)
+            else:
+                outcome = _descent(sample, i, p, False, key, ckey)
+            if isinstance(outcome, str):
+                exceptional.append(f"{key} direction {i}: {outcome}")
                 continue
-            if (degree := family.canonical.degree()) != ckey[i - 1]:
-                raise ExplorationError(f"{key} direction {i}: degree {degree}, s_i predicts {ckey[i - 1]}")
-            member, canonical_ok, member_generic = _generic_member(family, p, sample_generic)
+            entry, canonical_ok, member_generic = outcome
             if not canonical_ok:
                 exceptional.append(f"{key} direction {i}: canonical member not generic")
             jump = 1 if ckey[i - 1] > key[i - 1] else 0
-            seen[ckey] = (member, jumps + jump, member_generic)
+            seen[ckey] = (sample.replace(i, entry), jumps + jump, member_generic)
             queue.append(ckey)
             if len(seen) >= limit:
                 break
-
-    # locate the dominant base member
-    base_degrees = None
-    for degs in seen:
-        lam = weight_at_infinity(p.weights, degs, p.cartan)
-        if is_dominant_integral(lam):
-            base_degrees = degs
-            break
-    if base_degrees is None:
-        raise ExplorationError("no member with dominant weight at infinity was reached")
 
     labels = {}
     for degs, word in cell_words(base_degrees, p.weights, p.cartan):
@@ -344,6 +378,20 @@ def explore(seed: PolyTuple, p: ProblemData, max_cells: Optional[int] = None) ->
         cells=cells,
         exceptional=tuple(exceptional),
     )
+
+
+def _descent(sample: PolyTuple, i: int, p: ProblemData, sample_generic: bool, key: tuple, ckey: tuple):
+    """(new entry, canonical member generic, new sample generic) of the
+    descent from `sample` in direction i, or the message of its failure."""
+    solve = canonical_partner if sample_generic else fertility_direction
+    try:
+        family = _family(sample, i, solve(sample, i, p))
+    except (FertilityError, ReproductionError) as exc:
+        return str(exc)
+    if (degree := family.canonical.degree()) != ckey[i - 1]:
+        raise ExplorationError(f"{key} direction {i}: degree {degree}, s_i predicts {ckey[i - 1]}")
+    member, canonical_ok, member_generic = _generic_member(family, p, sample_generic)
+    return member[i - 1], canonical_ok, member_generic
 
 
 def cell_of(y: PolyTuple, base_degrees: Sequence[int], p: ProblemData) -> tuple[int, ...]:

@@ -126,6 +126,17 @@ class TestPopulate:
         assert code == 0
         assert report["cell_count"] == len(report["cells"]) == 10
 
+    def test_max_cells_from_a_non_dominant_seed(self, tmp_path, capsys):
+        doc = {"lie_type": "A", "rank": 2, "weights": [[1, 0], [0, 1]], "points": ["0", "1"], "tuple": [["1"], ["1"]]}
+        _, report = run(["populate", write(tmp_path, "p.json", doc)], tmp_path, capsys)
+        top = next(row["sample"] for row in report["cells"] if row["degrees"] == [4, 4])
+        path = write(tmp_path, "top.json", dict(doc, tuple=top))
+        for n in range(1, 8):
+            code, report = run(["populate", path, "--max-cells", str(n)], tmp_path, capsys)
+            assert code == 0
+            assert report["cell_count"] == len(report["cells"]) == min(n, 6)
+            assert report["base_degrees"] == [0, 0]
+
 
 FRACTIONS = st.fractions() | st.builds(F, st.integers(-(2**200), 2**200), st.integers(1, 2**200))
 

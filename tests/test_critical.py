@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from operpop.exactalg import Poly, wronskian
 from operpop.critical import (
@@ -125,6 +126,27 @@ class TestFertility:
             degs[i - 1] = tilde.degree()
             lam_new = weight_at_infinity(a2_problem.weights, degs, c)
             assert lam_new == shifted_action([i], lam, c)
+
+
+# Entries as calibrated sequences pass them: neither monic nor nonconstant.
+RAW_ENTRIES = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(Poly).filter(bool)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    case=st.sampled_from([("A", 3, [], []), ("D", 4, [], []), ("B", 3, [[0, 1, 0]], [0]), ("G", 2, [[1, 0]], [2])]),
+    data=st.data(),
+)
+def test_wronskian_rhs_is_the_full_product(case, data):
+    family, rank, weights, points = case
+    p = problem(family, rank, weights, points)
+    y = [data.draw(RAW_ENTRIES) for _ in range(rank)]
+    for i in range(1, rank + 1):
+        expected = build_T(p)[i - 1]
+        for j in range(rank):
+            if j != i - 1:
+                expected = expected * y[j] ** -p.cartan.a[i - 1][j]
+        assert wronskian_rhs(y, i, p) == expected
 
 
 class TestCriticalityCrossCheck:

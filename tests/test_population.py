@@ -1,16 +1,27 @@
 import functools
 import random
+from collections import deque
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from operpop.exactalg import Poly, squarefree, wronskian, wronskian_partner
-from operpop.critical import PolyTuple, build_T, fertility_direction, is_generic, problem
-from operpop.liedata import degrees_for, shifted_reflect_degrees, weyl_elements, weyl_length
+from operpop.critical import FertilityError, PolyTuple, build_T, fertility_direction, is_generic, problem
+from operpop.liedata import (
+    cell_words,
+    degrees_for,
+    is_dominant_integral,
+    shifted_reflect_degrees,
+    weight_at_infinity,
+    weyl_elements,
+    weyl_length,
+)
 from operpop import liedata, population
 from operpop.population import (
+    Cell,
     ExplorationError,
+    PopulationSummary,
     ReproductionError,
     calibrated_sequence,
     cell_of,
@@ -121,6 +132,53 @@ def _generic_member_by_full_check(family, p, base_generic):
     return canonical, False, False
 
 
+def _explore_reference(seed, p, descents=None):
+    """`explore` without its descent memo: one partner solve per new cell,
+    and the base degrees found by scanning the reached cells.  Appends to
+    `descents` the key (i, y_i, linked y_j) of each solve from a generic
+    sample, and a fresh object for each solve from a non-generic one."""
+    assert is_generic(seed, p)
+    deg_t = [t.degree() for t in p.T]
+    seen = {seed.degrees: (seed, 0, True)}
+    queue = deque([seed.degrees])
+    exceptional = []
+    while queue:
+        key = queue.popleft()
+        sample, jumps, sample_generic = seen[key]
+        for i in range(1, p.rank + 1):
+            ckey = shifted_reflect_degrees(i, key, deg_t, p.cartan)
+            if ckey in seen:
+                continue
+            if descents is not None:
+                linked = [sample[j - 1] for j in range(1, p.rank + 1) if j != i and p.cartan.a[i - 1][j - 1]]
+                descents.append((i, sample[i - 1], *linked) if sample_generic else object())
+            solve = population.canonical_partner if sample_generic else population.fertility_direction
+            try:
+                family = population._family(sample, i, solve(sample, i, p))
+            except (FertilityError, ReproductionError) as exc:
+                exceptional.append(f"{key} direction {i}: {exc}")
+                continue
+            assert family.canonical.degree() == ckey[i - 1]
+            member, canonical_ok, member_generic = population._generic_member(family, p, sample_generic)
+            if not canonical_ok:
+                exceptional.append(f"{key} direction {i}: canonical member not generic")
+            jump = 1 if ckey[i - 1] > key[i - 1] else 0
+            seen[ckey] = (member, jumps + jump, member_generic)
+            queue.append(ckey)
+    base = next(d for d in seen if is_dominant_integral(weight_at_infinity(p.weights, d, p.cartan)))
+    labels = dict(cell_words(base, p.weights, p.cartan))
+    cells = {d: Cell(d, labels[d], len(labels[d]), sample, jumps) for d, (sample, jumps, _) in seen.items()}
+    return PopulationSummary(p, base, cells, tuple(exceptional))
+
+
+@functools.cache
+def _a2_top_sample():
+    """Weighted A2 and the sample of its longest cell (4, 4): a seed whose
+    weight at infinity is not dominant."""
+    p = problem("A", 2, [[1, 0], [0, 1]], [0, 1])
+    return p, explore(PolyTuple.constants(2), p).cells[(4, 4)].sample
+
+
 class TestExplore:
     @pytest.mark.parametrize(
         "family,rank,count",
@@ -227,12 +285,15 @@ class TestExplore:
         assert {k: c.sample for k, c in fast.cells.items()} == {k: c.sample for k, c in reference.cells.items()}
 
     @pytest.mark.parametrize(
-        "family,rank,weights,points",
-        [("D", 4, [], []), ("G", 2, [[1, 0], [0, 1]], [0, 1])],
+        "family,rank,weights,points,solves",
+        [("D", 4, [], [], 137), ("G", 2, [[1, 0], [0, 1]], [0, 1], 11)],
     )
-    def test_one_descent_per_new_cell(self, family, rank, weights, points, monkeypatch):
-        # explore solves for a partner through fertility_direction, or through
-        # canonical_partner when the sample is known generic: count both
+    def test_one_solve_per_distinct_descent(self, family, rank, weights, points, solves, monkeypatch):
+        # D4 has 191 new cells but 137 distinct descents; G2 has no
+        # commuting pair, so each of its 11 descents is distinct
+        p = problem(family, rank, weights, points)
+        descents = []
+        _explore_reference(PolyTuple.constants(rank), p, descents)
         calls = []
 
         def counting(solve):
@@ -244,9 +305,50 @@ class TestExplore:
 
         for name in ("fertility_direction", "canonical_partner"):
             monkeypatch.setattr(population, name, counting(getattr(population, name)))
+        explore(PolyTuple.constants(rank), p)
+        assert len(calls) == len(set(descents)) == solves
+
+    @pytest.mark.parametrize(
+        "family,rank,weights,points",
+        [
+            ("A", 3, [], []),
+            ("A", 4, [], []),
+            ("D", 4, [], []),
+            ("B", 3, [], []),
+            ("C", 3, [[1, 0, 0], [0, 0, 1]], [0, 1]),
+            ("B", 2, [[1, 0], [0, 1]], [0, 1]),
+            ("G", 2, [[1, 0], [0, 1]], [0, 1]),
+            ("A", 2, [[1, 0], [0, 1]], [0, 1]),  # from the non-dominant seed
+        ],
+    )
+    @pytest.mark.parametrize("fallbacks", [population._FALLBACK_PARAMETERS, ()])
+    def test_matches_memo_free_reference(self, family, rank, weights, points, fallbacks, monkeypatch):
         p = problem(family, rank, weights, points)
-        summary = explore(PolyTuple.constants(rank), p)
-        assert len(calls) == len(summary) - 1
+        seed = _a2_top_sample()[1] if family == "A" and rank == 2 else PolyTuple.constants(rank)
+        monkeypatch.setattr(population, "_FALLBACK_PARAMETERS", fallbacks)
+        assert explore(seed, p) == _explore_reference(seed, p)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_max_cells_from_a_non_dominant_seed(self, n):
+        p, seed = _a2_top_sample()
+        summary = explore(seed, p, max_cells=n)
+        assert len(summary) == min(n, 6)
+        assert summary.base_degrees == (0, 0)
+        for cell in summary.cells.values():
+            assert cell.word == cell_of(cell.sample, (0, 0), p)
+
+    @pytest.mark.parametrize(
+        "weights,points,seed,match",
+        [
+            # deg T = 1 and deg y = 1: m = -1, so s_1 fixes the degrees
+            ([[1]], [0], PolyTuple([Poly([-5, 1])]), "wall"),
+            # deg T = 0 and deg y = 3: the orbit is {3, -2}
+            ([], [], PolyTuple([Poly([0, -1, 0, 1])]), "negative"),
+        ],
+    )
+    def test_seed_orbit_without_a_dominant_cell_raises(self, weights, points, seed, match):
+        with pytest.raises(ExplorationError, match=match):
+            explore(seed, problem("A", 1, weights, points))
 
     def test_generic_sample_is_not_tested_for_squarefree_again(self, monkeypatch):
         calls = []

@@ -11,7 +11,7 @@ from operpop.exactalg import Poly, RatFunc
 from operpop.critical import PolyTuple, problem
 from operpop.liedata import cartan_data, langlands_dual, weyl_elements
 from operpop.miura import TwistedFunc, miura_from_tuple, twist_context
-from operpop.population import ReproductionError
+from operpop.population import ReproductionError, explore
 from operpop import solutions
 from operpop.solutions import (
     MatrixRep,
@@ -506,6 +506,16 @@ def test_an_entry_plus_one_is_caught(name, request, monkeypatch):
         matrix(y, p)
     with pytest.raises(VerificationError, match="D Y != 0"):
         solution_general(y, path[:1], p)
+
+
+@pytest.mark.parametrize("family, rank, weights", [("A", 3, [[1, 0, 0], [0, 0, 1]]), ("B", 2, [[1, 0], [0, 1]])])
+def test_matrix_builders_verify_on_every_cell_sample(family, rank, weights):
+    # cells such as (2, 0, 0) have a constant entry next to a nonconstant
+    # linked one, which the calibrated sequences pass to wronskian_rhs as is
+    p = problem(family, rank, weights, [0, -1])
+    builder = solution_A if family == "A" else solution_BC
+    for cell in explore(PolyTuple.constants(rank), p).cells.values():
+        builder(cell.sample, p)  # raises VerificationError unless D Y = 0
 
 
 @pytest.mark.parametrize(

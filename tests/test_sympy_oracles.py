@@ -8,7 +8,7 @@ engine's answers are only converted to sympy for the comparison.
 from fractions import Fraction as F
 
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy.integrals.rationaltools import ratint
 
 from operpop.exactalg import _P, Poly, RatFunc, poly_gcd, squarefree, wronskian, wronskian_partner
@@ -80,15 +80,6 @@ def test_poly_gcd_against_sympy(pair):
     assert sympy.expand(to_sympy(poly_gcd(f, g)) - expected.as_expr()) == 0
 
 
-@settings(max_examples=200, deadline=None)
-@given(polys(3, nonzero=True), polys(2, nonzero=True), st.booleans())
-def test_squarefree_against_sympy(f, h, repeat):
-    if repeat:
-        f = f * h**2
-    sf = to_sympy(f)
-    assert squarefree(f) == (sympy.degree(sympy.gcd(sf, sympy.diff(sf, x)), x) == 0)
-
-
 # Ring-layer draws: small scalars, scalars of up to about 200 bits, and
 # scalars whose denominator is divisible by _P.
 BIG_SCALARS = st.builds(F, st.integers(-(2**200), 2**200), st.integers(1, 2**200))
@@ -107,6 +98,19 @@ def qq(p: Poly) -> sympy.Poly:
 
 def rational(c: F):
     return sympy.Rational(c.numerator, c.denominator)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ring_polys(3, nonzero=True), ring_polys(2, nonzero=True), st.booleans())
+# lc numerator _P: no certificate, Euclid over Q decides
+@example(Poly([1, 0, _P]), Poly.one(), False)
+@example(Poly([1, _P]), Poly([F(1, 3), _P]), True)
+# x^2 + _P is x^2 mod _P, so the images are not coprime: Euclid over Q decides
+@example(Poly([_P, 0, 1]), Poly.one(), False)
+def test_squarefree_against_sympy(f, h, repeat):
+    if repeat:
+        f = f * h**2
+    assert squarefree(f) == qq(f).is_sqf
 
 
 @settings(max_examples=200, deadline=None)
