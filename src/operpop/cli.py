@@ -14,9 +14,10 @@ Problem file schema (polynomial coefficient lists are ascending):
 
 A rational is a JSON integer or a string "p" or "p/q" such as "-3/7";
 booleans, floats, null, lists and objects are not.  `rank`, the weight
-coordinates (>= 0) and the `path` entries are integers.  For each node i,
-deg T_i (the sum of the i-th weight coordinates) is at most MAX_T_DEGREE
-= 256.  Any other field is rejected.  `--output` is opened before any work.
+coordinates (>= 0) and the `path` entries are integers.  The rank is at
+most MAX_RANK = 64, and for each node i, deg T_i (the sum of the i-th
+weight coordinates) is at most MAX_T_DEGREE = 256.  Any other field is
+rejected.  `--output` is opened before any work.
 
 Subcommands: check, descend, populate, solve, verify.  solve runs the
 general builder along the path when one is given (`path` or `--path`, even
@@ -72,6 +73,11 @@ FIELDS = ("lie_type", "rank", "weights", "points", "tuple", "path", "bethe")
 # Bound on deg T_i.  T_i expands (x - z)^m exactly; at z = 1/3 that takes
 # about 1 s for deg T = 256 and 13 s for 1000 (2 vCPU, Python 3.11).
 MAX_T_DEGREE = 256
+
+# Bound on the rank.  The inverse Cartan matrix is dense r x r over Q: at
+# r = 64 its Gauss-Jordan elimination takes about 1.1 s, and a zero-weight
+# A_100 `check` took 11 s and A_200 78 s (2 vCPU, Python 3.11).
+MAX_RANK = 64
 
 # Exponent forms such as "1e10000000" are left out: Fraction would spend
 # unbounded time expanding them.
@@ -130,6 +136,8 @@ def parse_problem(doc: dict) -> tuple[ProblemData, PolyTuple, dict]:
     coeff_lists = _list(doc["tuple"], "tuple")
     if len(coeff_lists) != rank:
         raise InputError(f"tuple: expected {rank} coefficient lists")
+    if rank > MAX_RANK:
+        raise InputError(f"rank {rank} exceeds {MAX_RANK}")
     polys = []
     for i, coeffs in enumerate(coeff_lists, start=1):
         poly = Poly(_frac(c, f"tuple[{i}]") for c in _list(coeffs, f"tuple[{i}]"))

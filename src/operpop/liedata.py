@@ -63,9 +63,9 @@ class CartanData:
                 if self.d_sym[i] * self.a[i][j] != self.d_sym[j] * self.a[j][i]:
                     raise ValueError("symmetrizer does not symmetrize the Cartan matrix")
         for i in range(r):
+            row = [(k, a_ik) for k, a_ik in enumerate(self.a[i]) if a_ik]  # at most 4 nonzero
             for j in range(r):
-                s = sum(Fraction(self.a[i][k]) * self.b[k][j] for k in range(r))
-                if s != (1 if i == j else 0):
+                if sum(a_ik * self.b[k][j] for k, a_ik in row) != (1 if i == j else 0):
                     raise ValueError("b is not the inverse of a")
 
     def bilinear(self, i: int, j: int) -> Fraction:

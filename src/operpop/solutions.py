@@ -4,8 +4,10 @@ Every representation is the minuscule representation of the dual algebra
 (Bourbaki VIII.7.3): its weights are one Weyl orbit with all coordinates
 in {-1, 0, 1}, a basis vector per weight, and each F_i moves a weight mu
 with mu_i = 1 to mu - alpha_i.  The dual of every type but E_8, F_4 and
-G_2 has one; the result is validated against the Chevalley relations of
-the dual Cartan matrix.  A solution is held as Y = T^q * (num_j / den_j)_j:
+G_2 has one.  It is stored sparsely: each F_i and E_i as its sorted
+nonzero (row, col, value) entries, each H_i and each coweight as its
+diagonal; the Chevalley relations of the dual Cartan matrix are checked
+entry by entry.  A solution is held as Y = T^q * (num_j / den_j)_j:
 one twist q in [0, 1)^r shared by all columns, and for each column j a
 vector of polynomials num_j over a denominator den_j of its own.
 
@@ -62,67 +64,36 @@ class VerificationError(AssertionError):
     """D Y != 0 for a constructed solution (convention bug guard)."""
 
 
-Matrix = tuple[tuple[Fraction, ...], ...]
+Entries = tuple[tuple[int, int, Fraction], ...]  # a constant matrix: its sorted nonzero (row, col, value)
 
 
-def zeros(n: int) -> Matrix:
-    return tuple((Fraction(0),) * n for _ in range(n))
+def _product(a: Entries, b: Entries, acc: Optional[dict] = None, sign: int = 1) -> Entries:
+    """The nonzero entries of acc + sign a b, where acc maps (row, col) to a value."""
+    acc = {} if acc is None else acc
+    rows: dict[int, list] = {}
+    for k, j, t in b:
+        rows.setdefault(k, []).append((j, t))
+    for i, k, s in a:
+        for j, t in rows.get(k, ()):
+            acc[i, j] = acc.get((i, j), 0) + sign * s * t
+    return tuple(sorted((i, j, v) for (i, j), v in acc.items() if v))
 
 
-def eye(n: int) -> Matrix:
-    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    """a - b, with no subtraction where the entry of b is zero."""
-    return tuple(tuple(x - y if y else x for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(a: Matrix, s) -> Matrix:
-    """s * a, with no product where the entry of a is zero."""
-    s = Fraction(s)
-    return tuple(tuple(x * s if x else x for x in row) for row in a)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Product of dense matrices, summed over the nonzero entries of each row of a."""
-    out = []
-    for row in a:
-        acc = [Fraction(0)] * len(b[0])
-        for x, b_row in zip(row, b):
-            if x:
-                for j, y in enumerate(b_row):
-                    if y:
-                        acc[j] += x * y
-        out.append(tuple(acc))
-    return tuple(out)
-
-
-def commutator(a: Matrix, b: Matrix) -> Matrix:
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
-def mat_is_zero(a: Matrix) -> bool:
-    return all(all(v == 0 for v in row) for row in a)
-
-
-def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a))
+def _bracket(a: Entries, b: Entries) -> Entries:
+    """The nonzero entries of [a, b] = a b - b a."""
+    return _product(b, a, {(i, j): v for i, j, v in _product(a, b)}, -1)
 
 
 @dataclass(frozen=True)
 class MatrixRep:
-    """Chevalley generators of the dual algebra in a defining representation."""
+    """Chevalley generators of the dual algebra in a defining representation:
+    F_i and E_i as entries, H_i (ints) and the coweights as diagonals."""
 
     dim: int
-    F: tuple[Matrix, ...]
-    E: tuple[Matrix, ...]
-    H: tuple[Matrix, ...]
-    coweights: tuple[Matrix, ...]  # w_j with [w_j, F_i] = -delta_ij F_i
+    F: tuple[Entries, ...]
+    E: tuple[Entries, ...]
+    H: tuple[tuple[int, ...], ...]
+    coweights: tuple[tuple[Fraction, ...], ...]  # w_j with [w_j, F_i] = -delta_ij F_i
     lowest: int  # 0-based index of the lowest weight vector
     dual_cartan: tuple[tuple[int, ...], ...]
 
@@ -131,40 +102,40 @@ class MatrixRep:
         return len(self.F)
 
     @cached_property
-    def oper_rows(self) -> tuple[tuple[tuple[int, tuple[Fraction, ...]], ...], ...]:
+    def oper_rows(self) -> tuple[tuple[tuple[int, tuple], ...], ...]:
         """Row a of the oper's matrix part: the columns b where sum_i F_i or
         some H_j is nonzero, each with (sum_i F_i[a][b], H_1[a][b], ...)."""
-        mats = [reduce(mat_add, self.F), *self.H]
-        return tuple(
-            tuple((b, coeffs) for b, coeffs in enumerate(zip(*(m[a] for m in mats))) if any(coeffs))
-            for a in range(self.dim)
-        )
+        rows = [{a: (0, *(h[a] for h in self.H))} for a in range(self.dim)]
+        for f in self.F:
+            for a, b, s in f:
+                coeffs = rows[a].get(b, (0,) * (self.rank + 1))
+                rows[a][b] = (coeffs[0] + s, *coeffs[1:])
+        return tuple(tuple((b, c) for b, c in sorted(row.items()) if any(c)) for row in rows)
 
 
 def _validate_rep(rep: MatrixRep) -> None:
-    r, n = rep.rank, rep.dim
-    C = rep.dual_cartan
+    """The Chevalley relations of the dual Cartan matrix C, entry by entry: a
+    diagonal D brackets an entry (a, b, s) of a matrix to (D_a - D_b) s."""
+    r, C = rep.rank, rep.dual_cartan
+    for i, (H, w) in enumerate(zip(rep.H, rep.coweights)):
+        for j in range(r):
+            if any(H[a] - H[b] != -C[i][j] for a, b, _ in rep.F[j]):
+                raise RepresentationError(f"[H_{i + 1}, F_{j + 1}] violated")
+            if any(H[a] - H[b] != C[i][j] for a, b, _ in rep.E[j]):
+                raise RepresentationError(f"[H_{i + 1}, E_{j + 1}] violated")
+            if any(w[a] - w[b] != -(1 if i == j else 0) for a, b, _ in rep.F[j]):
+                raise RepresentationError(f"coweight pairing <alpha_{j + 1}, w_{i + 1}> violated")
     for i in range(r):
         for j in range(r):
-            lhs = commutator(rep.E[i], rep.F[j])
-            rhs = rep.H[i] if i == j else zeros(n)
-            if lhs != rhs:
+            rhs = tuple((k, k, h) for k, h in enumerate(rep.H[i]) if h) if i == j else ()
+            if _bracket(rep.E[i], rep.F[j]) != rhs:
                 raise RepresentationError(f"[E_{i + 1}, F_{j + 1}] violated")
-            if commutator(rep.H[i], rep.F[j]) != mat_scale(rep.F[j], -C[i][j]):
-                raise RepresentationError(f"[H_{i + 1}, F_{j + 1}] violated")
-            if commutator(rep.H[i], rep.E[j]) != mat_scale(rep.E[j], C[i][j]):
-                raise RepresentationError(f"[H_{i + 1}, E_{j + 1}] violated")
-            if commutator(rep.coweights[j], rep.F[i]) != mat_scale(rep.F[i], -(1 if i == j else 0)):
-                raise RepresentationError(f"coweight pairing <alpha_{i + 1}, w_{j + 1}> violated")
-    for i in range(r):
         power = rep.F[i]
-        for _ in range(n):  # F^(n+1) = 0 at the latest
-            if mat_is_zero(power):
-                break
-            power = mat_mul(power, rep.F[i])
-        if not mat_is_zero(power):
+        for _ in range(rep.dim):  # F^(n+1) = 0 at the latest
+            power = _product(power, rep.F[i])
+        if power:
             raise RepresentationError(f"F_{i + 1} is not nilpotent")
-    if any(row[rep.lowest] != 0 for F in rep.F for row in F):
+    if any(b == rep.lowest for F in rep.F for _, b, _ in F):
         # lowest weight vector must be killed by every F_i
         raise RepresentationError("lowest weight vector is not annihilated by n_-")
 
@@ -191,18 +162,16 @@ def rep_minuscule(family: str, rank: int) -> MatrixRep:
             break
     else:
         raise UnsupportedTypeError(f"the dual of type {family}_{rank} has no minuscule representation")
-    n, index = len(orbit), {mu: a for a, mu in enumerate(orbit)}
-    F = []
-    for i in range(rank):
-        f = [[Fraction(0)] * n for _ in range(n)]
-        for a, mu in enumerate(orbit):
-            if mu[i] == 1:
-                f[index[reflect(i + 1, mu, dual)]][a] = Fraction(1)
-        F.append(tuple(map(tuple, f)))
-    H = tuple(tuple(tuple(mu[i] * e for e in row) for mu, row in zip(orbit, eye(n))) for i in range(rank))
+    index = {mu: a for a, mu in enumerate(orbit)}
+    F = tuple(
+        tuple(sorted((index[reflect(i + 1, mu, dual)], a, 1) for a, mu in enumerate(orbit) if mu[i] == 1))
+        for i in range(rank)
+    )
+    H = tuple(tuple(mu[i] for mu in orbit) for i in range(rank))
     rep = MatrixRep(
-        dim=n, F=tuple(F), E=tuple(map(transpose, F)), H=H, coweights=_coweights_from(H, c.b),
-        lowest=next(a for a, mu in enumerate(orbit) if all(x <= 0 for x in mu)), dual_cartan=dual.a,
+        dim=len(orbit), F=F, E=tuple(tuple(sorted((b, a, s) for a, b, s in f)) for f in F), H=H,
+        coweights=_coweights_from(H, c.b), lowest=next(a for a, mu in enumerate(orbit) if all(x <= 0 for x in mu)),
+        dual_cartan=dual.a,
     )
     _validate_rep(rep)
     return rep
@@ -222,21 +191,14 @@ def rep_standard_sp(r: int) -> MatrixRep:
     return rep_minuscule("B", r)
 
 
-def _coweights_from(H: Sequence[Matrix], b) -> tuple[Matrix, ...]:
-    """w_j = sum_l b[l][j] H_l (column j of the inverse Cartan matrix)."""
-    r = len(H)
-    n = len(H[0])
-    out = []
-    for j in range(r):
-        w = zeros(n)
-        for l in range(r):
-            if b[l][j]:
-                w = mat_add(w, mat_scale(H[l], b[l][j]))
-        out.append(w)
-    return tuple(out)
+def _coweights_from(H: Sequence[Sequence[int]], b) -> tuple[tuple[Fraction, ...], ...]:
+    """The diagonals w_j = sum_l b[l][j] H_l (column j of the inverse Cartan matrix),
+    summed over the nonzero H_l[k] of each basis vector k."""
+    support = [[(l, h[k]) for l, h in enumerate(H) if h[k]] for k in range(len(H[0]))]
+    return tuple(tuple(sum((b[l][j] * v for l, v in nz), Fraction(0)) for nz in support) for j in range(len(H)))
 
 
-def nested_bracket(rep: MatrixRep, kind: str, i: int, j: int) -> Matrix:
+def nested_bracket(rep: MatrixRep, kind: str, i: int, j: int) -> Entries:
     """The nested commutators of the solution formulas (1-based indices).
 
     kind "F":      F_{i,j} = [F_j, [F_{j-1}, ..., [F_{i+1}, F_i] ...]]
@@ -250,20 +212,20 @@ def nested_bracket(rep: MatrixRep, kind: str, i: int, j: int) -> Matrix:
             raise ValueError(f"F_{{{i},{j}}} out of range")
         m = rep.F[i - 1]
         for k in range(i + 1, j + 1):
-            m = commutator(rep.F[k - 1], m)
+            m = _bracket(rep.F[k - 1], m)
         return m
     if kind == "Fstar":
         if not 1 <= i < j <= r:
             raise ValueError(f"F*_{{{i},{j}}} out of range")
-        m = commutator(rep.F[r - 1], nested_bracket(rep, "F", i, r - 1))
+        m = _bracket(rep.F[r - 1], nested_bracket(rep, "F", i, r - 1))
         for k in range(r - 1, j - 1, -1):
-            m = commutator(rep.F[k - 1], m)
+            m = _bracket(rep.F[k - 1], m)
         return m
     if kind == "double":
         if not 1 <= i <= r - 1:
             raise ValueError(f"double bracket needs 1 <= i <= {r - 1}")
         fir = nested_bracket(rep, "F", i, r - 1)
-        return commutator(commutator(rep.F[r - 1], fir), fir)
+        return _bracket(_bracket(rep.F[r - 1], fir), fir)
     raise ValueError(f"unknown bracket kind {kind!r}")
 
 
@@ -392,12 +354,12 @@ def _reduced(nums: list[Poly], den: Poly) -> Column:
 # ---------------------------------------------------------------------------
 
 
-def _square_zero(M: Matrix) -> list[tuple[int, int, Fraction]]:
-    """The nonzero entries (a, b, M_ab) of a constant matrix with M^2 = 0,
-    for which exp(g M) = 1 + g M; ValueError for any other M."""
-    if not mat_is_zero(mat_mul(M, M)):
+def _square_zero(M: Entries) -> Entries:
+    """The entries of a constant matrix with M^2 = 0, for which
+    exp(g M) = 1 + g M; ValueError for any other M."""
+    if _product(M, M):
         raise ValueError("M^2 != 0: exp(g M) is not 1 + g M")
-    return [(a, b, s) for a, row in enumerate(M) for b, s in enumerate(row) if s]
+    return M
 
 
 def _plus(target: Column, g: RatFunc, terms: Sequence[tuple[Fraction, Column]]) -> Column:
@@ -420,7 +382,7 @@ def _plus(target: Column, g: RatFunc, terms: Sequence[tuple[Fraction, Column]]) 
     return _reduced(nums, reduce(mul, dens, g.den))
 
 
-def _times_exp(columns: Sequence[Column], M: Matrix, g: RatFunc) -> list[Column]:
+def _times_exp(columns: Sequence[Column], M: Entries, g: RatFunc) -> list[Column]:
     """The columns of Y exp(g M) for M^2 = 0: Y + g Y M.
 
     Column b gains g sum_a M_ab column_a of Y and is reduced; the columns
@@ -435,7 +397,7 @@ def _times_exp(columns: Sequence[Column], M: Matrix, g: RatFunc) -> list[Column]
     return out
 
 
-def _exp_times(M: Matrix, g: RatFunc, column: Column) -> Column:
+def _exp_times(M: Entries, g: RatFunc, column: Column) -> Column:
     """exp(g M) v = v + g M v for M^2 = 0 and the column v."""
     nums, den = column
     Mv = [Poly.zero()] * len(nums)
@@ -445,21 +407,23 @@ def _exp_times(M: Matrix, g: RatFunc, column: Column) -> Column:
     return _plus(column, g, [(Fraction(1), (Mv, den))])
 
 
-def exp_generator(rep_matrix: Matrix, g: RatFunc, ctx: TwistContext) -> TwistedMatrix:
-    """exp(g M) = sum_k g^k M^k / k! for a constant nilpotent matrix M.
+def exp_generator(M: Entries, g: RatFunc, ctx: TwistContext, n: int) -> TwistedMatrix:
+    """exp(g M) = sum_k g^k M^k / k! for a constant nilpotent n x n matrix M.
 
     With g = a/b and M^(m+1) = 0 this is (sum_k a^k b^(m-k) M^k / k!) / b^m,
-    built from the constant Fraction matrices M^k / k!.
+    built from the entries of the constant matrices M^k / k!.
     """
-    n = len(rep_matrix)
-    powers = [eye(n)]  # M^k / k!, up to the first zero power
-    while not mat_is_zero(powers[-1]):
+    powers = [tuple((k, k, 1) for k in range(n))]  # M^k / k!, up to the first zero power
+    while powers[-1]:
         if len(powers) > n:
             raise ValueError("matrix is not nilpotent")
-        powers.append(mat_scale(mat_mul(powers[-1], rep_matrix), Fraction(1, len(powers))))
+        powers.append(tuple((a, b, Fraction(s, len(powers))) for a, b, s in _product(powers[-1], M)))
     m = len(powers) - 2
-    scalars = [g.num**k * g.den ** (m - k) for k in range(m + 1)]
-    num = [[_dot(scalars, [P[i][j] for P in powers]) for j in range(n)] for i in range(n)]
+    num = [[Poly.zero()] * n for _ in range(n)]
+    for k, P in enumerate(powers[:-1]):
+        scalar = g.num**k * g.den ** (m - k)
+        for a, b, s in P:
+            num[a][b] = num[a][b] + scalar * s
     return TwistedMatrix(ctx, (0,) * ctx.rank, num, g.den**m)
 
 
@@ -511,19 +475,17 @@ def _weight_diagonal(ctx: TwistContext, rep: MatrixRep, entries: Sequence[Poly])
     by roots), so they fold to one q; rows that do not raise.
     """
     n = rep.dim
-    rows = [_fold(ctx, tuple(w[k][k] for w in rep.coweights)) for k in range(n)]
+    rows = [_fold(ctx, tuple(w[k] for w in rep.coweights)) for k in range(n)]
     q = rows[0][0]
     nums, dens = [], []
     for k, (row_q, up, down) in enumerate(rows):
         if row_q != q:
             raise ValueError(f"row {k} of the weight diagonal has twist {row_q}, not {q}")
         for entry, H in zip(entries, rep.H):
-            h = H[k][k]
-            assert h.denominator == 1
-            if h < 0:
-                up = up * entry ** int(-h)
-            elif h > 0:
-                down = down * entry ** int(h)
+            if H[k] < 0:
+                up = up * entry ** -H[k]
+            elif H[k] > 0:
+                down = down * entry ** H[k]
         nums.append(up)
         dens.append(down)
     zero = Poly.zero()

@@ -8,9 +8,19 @@ the tests recheck them through `bethe_residuals`, so nothing is trusted.
 from fractions import Fraction as F
 
 import pytest
+import sympy
 
 from operpop.exactalg import Poly
 from operpop.critical import PolyTuple, problem
+
+
+def sympy_matrix(entries, n):
+    """The n x n sympy matrix with the given (row, col, value) entries."""
+    return sympy.SparseMatrix(n, n, {(a, b): sympy.Rational(v) for a, b, v in entries})
+
+
+def sympy_diag(values):
+    return sympy.diag(*[sympy.Rational(v) for v in values])
 
 
 @pytest.fixture(scope="session")

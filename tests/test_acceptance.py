@@ -276,7 +276,10 @@ def _conjugation_identity_holds(y, p, rep) -> bool:
                 num = num * y[l - 1] ** e
             else:
                 den = den * y[l - 1] ** (-e)
-        M = TwistedMatrix(ctx, [0] * p.rank, [[num * v for v in row] for row in rep.F[j - 1]], den)
+        F_j = [[0] * rep.dim for _ in range(rep.dim)]
+        for a, b, s in rep.F[j - 1]:
+            F_j[a][b] = s
+        M = TwistedMatrix(ctx, [0] * p.rank, [[num * v for v in row] for row in F_j], den)
         rhs = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(rhs, (h @ M).rows)]
     return all((a + b).is_zero() for ra, rb in zip(lhs, rhs) for a, b in zip(ra, rb))
 

@@ -574,6 +574,7 @@ MALFORMED = [
     (HALF, ["solve", "--rep", "general"], "--rep"),
     (HALF, ["verify", "--rep", "sl"], "--rep"),
     (dict(HALF, lie_type=["A"]), ["check"], "lie_type"),
+    (dict(RANK_80, rank=65, tuple=[["1"]] * 65), ["check"], "rank"),
 ]
 
 

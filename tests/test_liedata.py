@@ -62,6 +62,15 @@ class TestCartanData:
         assert c.b == ((F(2, 3), F(1, 3)), (F(1, 3), F(2, 3)))
         assert c.det_d == 3
 
+    def test_a_wrong_inverse_is_rejected(self):
+        import dataclasses
+
+        c = cartan_data("A", 3)
+        b = [list(row) for row in c.b]
+        b[2][0] += 1  # row 0 of a skips b[2] (a[0][2] = 0); rows 1 and 2 still read it
+        with pytest.raises(ValueError, match="not the inverse"):
+            dataclasses.replace(c, b=tuple(map(tuple, b)))
+
     @pytest.mark.parametrize("family,rank", IMPLEMENTED)
     def test_inverse_and_symmetrizer(self, family, rank):
         c = cartan_data(family, rank)

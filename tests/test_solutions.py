@@ -5,7 +5,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from conftest import RESIDUAL_CASES, residual_case
+from conftest import RESIDUAL_CASES, residual_case, sympy_diag, sympy_matrix
 
 from operpop.exactalg import Poly, RatFunc
 from operpop.critical import PolyTuple, problem
@@ -20,16 +20,9 @@ from operpop.solutions import (
     TwistedMatrix,
     UnsupportedTypeError,
     apply_miura,
-    commutator,
     default_rep,
     exp_generator,
-    eye,
     fold_to_A,
-    mat_add,
-    mat_is_zero,
-    mat_mul,
-    mat_scale,
-    mat_sub,
     nested_bracket,
     rep_minuscule,
     rep_standard_sl,
@@ -37,59 +30,103 @@ from operpop.solutions import (
     solution_A,
     solution_BC,
     solution_general,
-    transpose,
-    zeros,
 )
 
 X = Poly.x()
 
 
 def diag(*values):
-    n = len(values)
-    return tuple(
-        tuple(F(values[i]) if i == j else F(0) for j in range(n)) for i in range(n)
-    )
+    return sympy_diag(values)
 
 
 def unit(n, i, j):
     """Elementary matrix with a 1 in (row i, column j), 1-based."""
-    return tuple(tuple(F(int((r, c) == (i - 1, j - 1))) for c in range(n)) for r in range(n))
+    return sympy.SparseMatrix(n, n, {(i - 1, j - 1): 1})
+
+
+def bracket(a, b):
+    return a * b - b * a
+
+
+def as_sympy(rep):
+    """(F, E, H, coweights) of a rep as lists of sympy matrices."""
+    n = rep.dim
+    return (
+        [sympy_matrix(f, n) for f in rep.F],
+        [sympy_matrix(e, n) for e in rep.E],
+        [sympy_diag(h) for h in rep.H],
+        [sympy_diag(w) for w in rep.coweights],
+    )
 
 
 def _hand_built(family, rank, F_mats, H):
-    c = cartan_data(family, rank)
-    n = len(F_mats[0])
-    return MatrixRep(
-        dim=n, F=tuple(F_mats), E=tuple(transpose(f) for f in F_mats), H=tuple(H),
-        coweights=solutions._coweights_from(H, c.b), lowest=n - 1, dual_cartan=langlands_dual(c).a,
-    )
+    b = cartan_data(family, rank).b
+    n = F_mats[0].rows
+    coweights = [sum((H[l] * sympy.Rational(b[l][j]) for l in range(rank)), sympy.zeros(n)) for j in range(rank)]
+    return F_mats, [f.T for f in F_mats], H, coweights
 
 
 def hand_built_sl(m):
     """sl_m in the unit-matrix convention: F_i = e_(i+1, i), H_i = e_(i, i) - e_(i+1, i+1)."""
     F_mats = [unit(m, i + 1, i) for i in range(1, m)]
-    H = [mat_sub(unit(m, i, i), unit(m, i + 1, i + 1)) for i in range(1, m)]
+    H = [unit(m, i, i) - unit(m, i + 1, i + 1) for i in range(1, m)]
     return _hand_built("A", m - 1, F_mats, H)
 
 
 def hand_built_sp(r):
     """sp_2r in the unit-matrix convention: F_i = e_(i+1, i) + e_(2r-i+1, 2r-i), F_r = e_(r+1, r)."""
     n = 2 * r
-    F_mats = [mat_add(unit(n, i + 1, i), unit(n, n - i + 1, n - i)) for i in range(1, r)] + [unit(n, r + 1, r)]
-    H = [commutator(transpose(f), f) for f in F_mats]
+    F_mats = [unit(n, i + 1, i) + unit(n, n - i + 1, n - i) for i in range(1, r)] + [unit(n, r + 1, r)]
+    H = [bracket(f.T, f) for f in F_mats]
     return _hand_built("B", r, F_mats, H)
 
 
 @pytest.mark.parametrize("family, rank", [("A", r) for r in range(1, 6)] + [("B", r) for r in range(2, 5)])
 def test_minuscule_orbit_matches_the_hand_built_reps(family, rank):
     reference = hand_built_sl(rank + 1) if family == "A" else hand_built_sp(rank)
-    assert rep_minuscule(family, rank) == reference
+    rep = rep_minuscule(family, rank)
+    assert as_sympy(rep) == reference
+    assert rep.lowest == rep.dim - 1 and rep.dual_cartan == langlands_dual(cartan_data(family, rank)).a
 
 
-@pytest.mark.parametrize("family, rank, dim", [("C", 3, 8), ("C", 4, 16), ("D", 4, 8), ("D", 5, 10), ("E", 6, 27)])
+@pytest.mark.parametrize(
+    "family, rank, dim", [("C", 3, 8), ("C", 4, 16), ("D", 4, 8), ("D", 5, 10), ("E", 6, 27), ("E", 7, 56)]
+)
 def test_minuscule_dimensions(family, rank, dim):
     rep = rep_minuscule(family, rank)
     assert rep.dim == dim and rep.dual_cartan == langlands_dual(cartan_data(family, rank)).a
+
+
+def _replaced(items, k, item):
+    return items[:k] + (item,) + items[k + 1 :]
+
+
+def corruptions(rep):
+    """(the relation the check must name, the fields of rep with one corruption)."""
+    (a, b, s), rest = rep.F[1][0], rep.F[1][1:]
+    H, w = rep.H[0], rep.coweights[0]
+    return [
+        (r"\[E_\d, F_2\]", {"F": _replaced(rep.F, 1, ((a, b, 2 * s),) + rest)}),
+        (r"\[H_\d, F_2\]", {"F": _replaced(rep.F, 1, tuple(sorted((((a + 1) % rep.dim, b, s),) + rest)))}),
+        (r"\[E_1, F_1\]", {"E": _replaced(rep.E, 0, rep.E[0][1:])}),
+        (r"\[H_1, F_\d\]", {"H": _replaced(rep.H, 0, (H[0] + 1,) + H[1:])}),
+        ("coweight pairing", {"coweights": _replaced(rep.coweights, 0, (w[0] + 1,) + w[1:])}),
+        ("lowest weight vector", {"lowest": 0}),
+    ]
+
+
+@pytest.mark.parametrize("family, rank", [("D", 4), ("B", 2)])
+def test_validation_rejects_a_corrupted_rep(family, rank):
+    # one F_2 value doubled, one F_2 entry moved a row down, one E_1 entry
+    # dropped, H_1 and w_1 bumped at the highest weight, the lowest vector
+    # moved to the highest
+    import dataclasses
+
+    rep = rep_minuscule(family, rank)
+    solutions._validate_rep(rep)
+    for relation, fields in corruptions(rep):
+        with pytest.raises(RepresentationError, match=relation):
+            solutions._validate_rep(dataclasses.replace(rep, **fields))
 
 
 @pytest.mark.parametrize("family, rank", [("G", 2), ("F", 4), ("E", 8)])
@@ -101,16 +138,16 @@ def test_no_minuscule_rep(family, rank):
 class TestRepSL:
     def test_sl2_basics(self):
         rep = rep_standard_sl(2)
-        assert rep.H[0] == diag(1, -1)
-        assert rep.F[0] == unit(2, 2, 1)
+        assert sympy_diag(rep.H[0]) == diag(1, -1)
+        assert sympy_matrix(rep.F[0], 2) == unit(2, 2, 1)
 
     def test_sl3_bracket(self):
-        rep = rep_standard_sl(3)
-        assert commutator(rep.E[0], rep.F[0]) == rep.H[0]
+        F_mats, E_mats, H, _ = as_sympy(rep_standard_sl(3))
+        assert bracket(E_mats[0], F_mats[0]) == H[0]
 
     def test_sl3_coweight(self):
         rep = rep_standard_sl(3)
-        assert rep.coweights[0] == diag(F(2, 3), F(-1, 3), F(-1, 3))
+        assert sympy_diag(rep.coweights[0]) == diag(F(2, 3), F(-1, 3), F(-1, 3))
 
     def test_too_small(self):
         with pytest.raises(RepresentationError):
@@ -119,26 +156,25 @@ class TestRepSL:
 
 class TestRepSP:
     def test_h2(self):
-        rep = rep_standard_sp(2)
-        assert rep.H[1] == diag(0, 1, -1, 0)
-        assert commutator(rep.E[1], rep.F[1]) == rep.H[1]
+        F_mats, E_mats, H, _ = as_sympy(rep_standard_sp(2))
+        assert H[1] == diag(0, 1, -1, 0)
+        assert bracket(E_mats[1], F_mats[1]) == H[1]
 
     def test_h1_f2_bracket(self):
         # [H_1, F_2] = 2 F_2: the dual (C_2) Cartan matrix entry -C_{1,2}
         rep = rep_standard_sp(2)
-        assert commutator(rep.H[0], rep.F[1]) == mat_scale(rep.F[1], 2)
+        F_mats, _, H, _ = as_sympy(rep)
+        assert bracket(H[0], F_mats[1]) == 2 * F_mats[1]
         assert rep.dual_cartan[0][1] == -2
 
     def test_nilpotency(self):
-        rep = rep_standard_sp(3)
-        for f in rep.F:
-            cube = mat_mul(mat_mul(f, f), f)
-            assert mat_is_zero(cube)
+        for f in as_sympy(rep_standard_sp(3))[0]:
+            assert (f * f * f).is_zero_matrix
 
     def test_coweights(self):
         rep = rep_standard_sp(2)
-        assert rep.coweights[0] == diag(1, 0, 0, -1)
-        assert rep.coweights[1] == diag(F(1, 2), F(1, 2), F(-1, 2), F(-1, 2))
+        assert sympy_diag(rep.coweights[0]) == diag(1, 0, 0, -1)
+        assert sympy_diag(rep.coweights[1]) == diag(F(1, 2), F(1, 2), F(-1, 2), F(-1, 2))
 
 
 class TestNestedBracket:
@@ -149,17 +185,18 @@ class TestNestedBracket:
 
     def test_sl3_f12(self):
         rep = rep_standard_sl(3)
-        assert nested_bracket(rep, "F", 1, 2) == mat_scale(unit(3, 3, 1), 1)
+        assert sympy_matrix(nested_bracket(rep, "F", 1, 2), 3) == unit(3, 3, 1)
 
     def test_serre_vanishing(self):
-        rep = rep_standard_sl(3)
-        inner = commutator(rep.F[0], rep.F[1])
-        assert mat_is_zero(commutator(rep.F[0], inner))
+        F_mats = as_sympy(rep_standard_sl(3))[0]
+        inner = bracket(F_mats[0], F_mats[1])
+        assert bracket(F_mats[0], inner).is_zero_matrix
 
     def test_sp4_double(self):
         rep = rep_standard_sp(2)
-        assert nested_bracket(rep, "double", 1, 2) == mat_scale(unit(4, 4, 1), -2)
-        assert nested_bracket(rep, "Fstar", 1, 2) == commutator(rep.F[1], rep.F[0])
+        F_mats = as_sympy(rep)[0]
+        assert sympy_matrix(nested_bracket(rep, "double", 1, 2), 4) == -2 * unit(4, 4, 1)
+        assert sympy_matrix(nested_bracket(rep, "Fstar", 1, 2), 4) == bracket(F_mats[1], F_mats[0])
 
     def test_out_of_range(self):
         rep = rep_standard_sl(3)
@@ -172,13 +209,13 @@ class TestNestedBracket:
 class TestExpNilpotent:
     def test_exp_zero(self, half_problem):
         ctx = twist_context(half_problem)
-        assert exp_generator(zeros(3), RatFunc(X), ctx) == TwistedMatrix.identity(ctx, 3)
+        assert exp_generator((), RatFunc(X), ctx, 3) == TwistedMatrix.identity(ctx, 3)
 
     def test_two_by_two(self, half_problem):
         ctx = twist_context(half_problem)
         rep = rep_standard_sl(2)
         g = RatFunc(X)
-        E = exp_generator(rep.F[0], g, ctx)
+        E = exp_generator(rep.F[0], g, ctx, rep.dim)
         assert E.rows[0][0] == TwistedFunc.one(ctx)
         assert E.rows[1][0] == TwistedFunc.from_rat(ctx, g)
 
@@ -186,13 +223,13 @@ class TestExpNilpotent:
         ctx = twist_context(half_problem)
         rep = rep_standard_sp(2)
         g = RatFunc(Poly([1, 2, 1]), Poly([3, 1]))
-        prod = exp_generator(rep.F[0], g, ctx) @ exp_generator(rep.F[0], -g, ctx)
+        prod = exp_generator(rep.F[0], g, ctx, 4) @ exp_generator(rep.F[0], -g, ctx, 4)
         assert prod == TwistedMatrix.identity(ctx, 4)
 
     def test_non_nilpotent_rejected(self, half_problem):
         ctx = twist_context(half_problem)
         with pytest.raises(ValueError, match="nilpotent"):
-            exp_generator(eye(2), RatFunc(X), ctx)
+            exp_generator(_entries([[1, 0], [0, 1]]), RatFunc(X), ctx, 2)
 
 
 class TestSolutionA:
@@ -257,10 +294,10 @@ class TestSolutionA:
             rep = rep_standard_sl(m)
             r = m - 1
             for i in range(1, r + 1):
-                mats = [nested_bracket(rep, "F", i, j) for j in range(i, r + 1)]
+                mats = [sympy_matrix(nested_bracket(rep, "F", i, j), m) for j in range(i, r + 1)]
                 for a in mats:
                     for b in mats:
-                        assert mat_is_zero(commutator(a, b))
+                        assert bracket(a, b).is_zero_matrix
 
     def test_wrong_family_rejected(self, b2_problem, b2_tuple):
         with pytest.raises(UnsupportedTypeError):
@@ -435,9 +472,9 @@ def test_weight_diagonal_needs_one_twist(a2_problem, a2_tuple):
     import dataclasses
 
     rep = default_rep(a2_problem)
-    w1 = [list(row) for row in rep.coweights[0]]
-    w1[0][0] += F(1, 3)  # rows 0 and 1 of w_1 no longer differ by an integer
-    bad = dataclasses.replace(rep, coweights=(tuple(map(tuple, w1)),) + rep.coweights[1:])
+    w1 = list(rep.coweights[0])
+    w1[0] += F(1, 3)  # rows 0 and 1 of w_1 no longer differ by an integer
+    bad = dataclasses.replace(rep, coweights=(tuple(w1),) + rep.coweights[1:])
     with pytest.raises(ValueError, match="twist"):
         solutions._weight_diagonal(twist_context(a2_problem), bad, a2_tuple.polys)
 
@@ -446,13 +483,13 @@ def twisted_residual(y, p, rows):
     """Y' + (sum F_i + sum c_j H_j) Y from rendered entries, in the twisted field."""
     rep, D = default_rep(p), miura_from_tuple(y, p)
     n = rep.dim
-    M = [
-        [
-            sum((c * H[a][b] for c, H in zip(D.h_coords, rep.H)), RatFunc(sum(f[a][b] for f in rep.F)))
-            for b in range(n)
-        ]
-        for a in range(n)
-    ]
+    M = [[RatFunc.zero()] * n for _ in range(n)]
+    for f in rep.F:
+        for a, b, s in f:
+            M[a][b] = M[a][b] + s
+    for c, h in zip(D.h_coords, rep.H):
+        for a, v in enumerate(h):
+            M[a][a] = M[a][a] + c * v
     out = []
     for a in range(n):
         out_row = []
@@ -560,7 +597,9 @@ def builder_brackets(rep, family):
     return out
 
 
-SQUARE_ZERO_TYPES = [("A", r) for r in range(1, 6)] + [("B", r) for r in range(2, 5)] + [("C", 3), ("D", 4), ("E", 6)]
+SQUARE_ZERO_TYPES = (
+    [("A", r) for r in range(1, 6)] + [("B", r) for r in range(2, 5)] + [("C", 3), ("D", 4), ("E", 6), ("E", 7)]
+)
 
 
 @pytest.mark.parametrize("family, rank", SQUARE_ZERO_TYPES)
@@ -570,20 +609,22 @@ def test_root_vectors_of_minuscule_reps_square_to_zero(family, rank):
     rep = rep_minuscule(family, rank)
     factors = [*rep.F, *rep.E] + (builder_brackets(rep, family) if family in "AB" else [])
     for M in factors:
-        assert not mat_is_zero(M) and mat_is_zero(mat_mul(M, M))
+        S = sympy_matrix(M, rep.dim)
+        assert not S.is_zero_matrix and (S * S).is_zero_matrix
         assert solutions._square_zero(M)
 
 
-def _frac_matrix(rows):
-    return tuple(tuple(F(v) for v in row) for row in rows)
+def _entries(rows):
+    """The (row, col, value) entries of a matrix given by its rows."""
+    return tuple((a, b, F(v)) for a, row in enumerate(rows) for b, v in enumerate(row) if v)
 
 
 # square-zero matrices: a bracket of sl_3, and one whose row 0 is also a
 # column it writes to (M = u v^T with v.u = 0), so updates must read old columns
 SQUARE_ZERO = {
     "bracket": nested_bracket(rep_standard_sl(3), "F", 1, 2),
-    "overlapping": _frac_matrix([[1, 1, 0], [-1, -1, 0], [2, 2, 0]]),
-    "two_sources": _frac_matrix([[0, 0, 0], [3, 0, 0], [F(1, 2), 0, 0]]),
+    "overlapping": _entries([[1, 1, 0], [-1, -1, 0], [2, 2, 0]]),
+    "two_sources": _entries([[0, 0, 0], [3, 0, 0], [F(1, 2), 0, 0]]),
 }
 
 
@@ -594,7 +635,7 @@ def test_column_updates_match_the_exponential(data, name):
     q, num, den = data.draw(twisted_matrices(3, 3))
     Y = TwistedMatrix(A2_CTX, q, num, den)
     g = RatFunc(data.draw(POLYS), Poly.from_roots(data.draw(DENS)[0]))
-    exp_gM = exp_generator(M, g, A2_CTX)
+    exp_gM = exp_generator(M, g, A2_CTX, 3)
     right = TwistedMatrix.from_columns(A2_CTX, Y.q, solutions._times_exp(Y.cols, M, g))
     assert right == Y @ exp_gM
     for j in range(3):
@@ -605,7 +646,7 @@ def test_column_updates_match_the_exponential(data, name):
 def test_a_factor_with_nonzero_square_raises(half_problem):
     # nilpotent (M^3 = 0) but M^2 != 0: 1 + g M is not exp(g M)
     ctx = twist_context(half_problem)
-    M = _frac_matrix([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+    M = _entries([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
     Y = TwistedMatrix.identity(ctx, 3)
     with pytest.raises(ValueError, match=r"M\^2 != 0"):
         solutions._times_exp(Y.cols, M, RatFunc(X))

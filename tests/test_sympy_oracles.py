@@ -1,17 +1,23 @@
-"""Engine-independent oracles: sympy checks the exact polynomial layer.
+"""Engine-independent oracles: sympy checks the exact polynomial layer and
+the representations.
 
 The expected values are computed in sympy alone (its own ring operations,
-gcd, derivative, division, cancellation and rational integration); the
-engine's answers are only converted to sympy for the comparison.
+gcd, derivative, division, cancellation, rational integration and matrix
+products); the engine's answers are only converted to sympy for the
+comparison.
 """
 
 from fractions import Fraction as F
 
+import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 from sympy.integrals.rationaltools import ratint
 
+from conftest import sympy_diag, sympy_matrix
 from operpop.exactalg import _P, Poly, RatFunc, poly_gcd, squarefree, wronskian, wronskian_partner
+from operpop.liedata import cartan_data, langlands_dual
+from operpop.solutions import rep_minuscule
 
 x = sympy.Symbol("x")
 
@@ -157,3 +163,26 @@ def test_ratfunc_normalisation_against_cancel(num, den, common):
     lead = sympy.Poly(Q, x, domain="QQ").LC()
     assert qq(r.num) == sympy.Poly(P / lead, x, domain="QQ")
     assert qq(r.den) == sympy.Poly(Q / lead, x, domain="QQ")
+
+
+REP_TYPES = (
+    [("A", r) for r in range(1, 6)] + [("B", r) for r in range(2, 5)]
+    + [("C", 3), ("C", 4), ("D", 4), ("D", 5), ("E", 6), ("E", 7)]
+)
+
+
+@pytest.mark.parametrize("family, rank", REP_TYPES)
+def test_minuscule_rep_satisfies_the_dual_chevalley_relations(family, rank):
+    rep = rep_minuscule(family, rank)
+    C = langlands_dual(cartan_data(family, rank)).a
+    n = rep.dim
+    F_mats = [sympy_matrix(f, n) for f in rep.F]
+    E_mats = [sympy_matrix(e, n) for e in rep.E]
+    H = [sympy_diag(h) for h in rep.H]
+    for i in range(rank):
+        assert E_mats[i] == F_mats[i].T
+        assert (F_mats[i] * F_mats[i]).is_zero_matrix
+        for j in range(rank):
+            delta_H = H[i] if i == j else sympy.zeros(n)
+            assert E_mats[i] * F_mats[j] - F_mats[j] * E_mats[i] == delta_H
+            assert H[i] * F_mats[j] - F_mats[j] * H[i] == -C[i][j] * F_mats[j]
