@@ -39,7 +39,6 @@ import re
 import sys
 import time
 from fractions import Fraction
-from math import gcd
 from typing import Optional, Sequence, TextIO
 
 from .exactalg import Poly
@@ -171,21 +170,13 @@ def echo_problem(p: ProblemData, y: PolyTuple, extras: dict) -> dict:
         "rank": p.cartan.rank,
         "weights": [[str(v) for v in w] for w in p.weights],
         "points": [str(z) for z in p.points],
-        "tuple": [_poly_strs(poly) for poly in y.polys],
+        "tuple": [poly.coeff_strs() for poly in y.polys],
     }
     if "path" in extras:
         doc["path"] = list(extras["path"])
     if "bethe" in extras:
         doc["bethe"] = [[str(t) for t in group] for group in extras["bethe"].coordinates]
     return doc
-
-
-def _poly_strs(poly: Poly) -> list[str]:
-    """[str(c) for c in poly.coeffs], read from the stored ints without building Fractions."""
-    den = poly._den
-    if den == 1:
-        return [str(n) for n in poly._num]
-    return [f"{n // g}/{den // g}" if (g := gcd(n, den)) != den else str(n // g) for n in poly._num]
 
 
 def _twisted_entry(v) -> dict:
@@ -214,7 +205,7 @@ def cmd_check(p: ProblemData, y: PolyTuple, extras: dict, report: dict) -> int:
                 fertile = False
             else:
                 entry["fertile"] = True
-                entry["canonical"] = _poly_strs(tilde)
+                entry["canonical"] = tilde.coeff_strs()
         directions.append(entry)
     report["fertile"] = fertile
     report["directions"] = directions
@@ -233,7 +224,7 @@ def cmd_descend(p: ProblemData, y: PolyTuple, extras: dict, report: dict, direct
     child = descend(y, direction, param, p)
     report["direction"] = direction
     report["parameter"] = [str(param[0]), str(param[1])]
-    report["descendant"] = [_poly_strs(q) for q in child.polys]
+    report["descendant"] = [q.coeff_strs() for q in child.polys]
     report["descendant_generic"] = bool(is_generic(child, p))
     return 0
 
@@ -248,7 +239,7 @@ def cmd_populate(p: ProblemData, y: PolyTuple, extras: dict, report: dict, max_c
         sample = []
         for q in cell.sample.polys:
             if (s := strs.get(q)) is None:
-                s = strs[q] = _poly_strs(q)
+                s = strs[q] = q.coeff_strs()
             sample.append(s)
         rows.append(
             {

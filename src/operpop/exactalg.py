@@ -19,19 +19,17 @@ primitives everything else is built from:
   `rational_antiderivative(f)` are all this one question.
 
 `poly_gcd` first tries a certificate of coprimality mod the prime
-_P = 2^61 - 1.  It applies when _P divides neither stored denominator nor
-either leading numerator, i.e. no coefficient denominator of f and g and
-neither leading coefficient; `_mod_p` then takes one inverse of the
-denominator mod _P per polynomial.  Suppose f = h*k over Q with h
-primitive in Z[x] and deg h >= 1.  Then k has _P-integral coefficients
-(Gauss's lemma over Z localised at _P), and h mod _P keeps its degree
-because _P does not divide lc f = lc h * lc k; so h mod _P divides the
-images of f and of g.  Hence a constant gcd of the images proves a
-constant gcd over Q, and `poly_gcd` returns 1 without Euclid over Q.  In
-every other case it runs Euclid over Q through `divmod`, keeping the
-primitive part of each remainder (a primitive remainder sequence), so
-every answer is the exact monic gcd (Brown 1971; von zur Gathen &
-Gerhard, Modern Computer Algebra, ch. 6).
+_P = 2^61 - 1, on the stored integer numerators F = den_f * f and
+G = den_g * g.  It applies when _P divides neither leading numerator.
+The gcd over Q of f and g is that of F and G.  Let h be a common
+factor, primitive in Z[x] with deg h >= 1, and F = h*k; then k is in
+Z[x] (Gauss's lemma), and as _P does not divide lc F = lc h * lc k,
+h mod _P keeps its degree and divides the images of F and of G.  Hence a
+constant gcd of the images proves a constant gcd over Q, and `poly_gcd`
+returns 1 without Euclid over Q.  In every other case it runs Euclid over
+Q through `divmod`, keeping the primitive part of each remainder (a
+primitive remainder sequence), so every answer is the exact monic gcd
+(Brown 1971; von zur Gathen & Gerhard, Modern Computer Algebra, ch. 6).
 
 `integrate_shape(N, y)` (the Hermite split N/y^2 = P' + (-A/y)' + B/y for
 squarefree monic y, via `poly_ext_gcd`) is kept as an independent
@@ -284,22 +282,30 @@ class Poly:
     def __repr__(self) -> str:
         return f"Poly({self})"
 
+    def coeff_strs(self) -> list[str]:
+        """[str(c) for c in self.coeffs], read from the stored ints without
+        building Fractions."""
+        den = self._den
+        if den == 1:
+            return [str(n) for n in self._num]
+        return [f"{n // g}/{den // g}" if (g := gcd(n, den)) != den else str(n // g) for n in self._num]
+
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
-        cs = self.coeffs
+        cs = self.coeff_strs()
         parts = []
         for k in range(len(cs) - 1, -1, -1):
             c = cs[k]
-            if c == 0:
+            if c == "0":
                 continue
             if k == 0:
-                term = str(c)
+                term = c
             else:
                 xs = "x" if k == 1 else f"x^{k}"
-                if c == 1:
+                if c == "1":
                     term = xs
-                elif c == -1:
+                elif c == "-1":
                     term = f"-{xs}"
                 else:
                     term = f"{c}*{xs}"
@@ -365,28 +371,22 @@ def binary_power(base, n: int):
 _P = 2**61 - 1
 
 
-def _mod_p(f: Poly) -> Optional[list[int]]:
-    """f mod _P, leading coefficient first, or None if _P divides the
-    denominator or the leading numerator of f."""
-    den, nums = f._den, f._num
-    if not den % _P or not nums[-1] % _P:
-        return None
-    inv = pow(den, -1, _P)
-    return [c * inv % _P for c in reversed(nums)]
-
-
-def _coprime_mod_p(a: list[int], b: list[int]) -> bool:
-    """True iff Euclid mod _P on nonzero a, b (leading coefficient first,
-    nonzero) ends at a nonzero constant.
+def _coprime_mod_p(f: Poly, g: Poly) -> bool:
+    """True iff Euclid mod _P on the numerators of nonzero f and g ends at
+    a nonzero constant, which proves gcd(f, g) = 1 (module docstring);
+    False when _P divides either leading numerator.
 
     Each step takes the pseudo-remainder lc(b)^e * a mod b: scaling by the
     unit lc(b) does not change the gcd, and it needs no inverse mod _P.
     """
+    if not f._num[-1] % _P or not g._num[-1] % _P:
+        return False
+    a = [c % _P for c in reversed(f._num)]
+    b = [c % _P for c in reversed(g._num)]
     if len(a) < len(b):
         a, b = b, a
     while len(b) > 1:
         b0, n = b[0], len(b)
-        a = list(a)
         for k in range(len(a) - n + 1):
             c = a[k]
             if c:
@@ -407,16 +407,12 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic gcd; gcd(0, 0) = 0.
 
     Answers 1 at once when both operands are nonzero and one is constant,
-    and without Euclid over Q when the images of f and g mod _P are coprime
+    and without Euclid over Q when their numerators are coprime mod _P
     (the certificate of the module docstring); otherwise, and for zero
-    operands or operands that do not reduce mod _P, runs Euclid over Q on
-    primitive remainders.
+    operands, runs Euclid over Q on primitive remainders.
     """
     if f and g:
-        if f.degree() == 0 or g.degree() == 0:
-            return Poly.one()
-        fp, gp = _mod_p(f), _mod_p(g)
-        if fp is not None and gp is not None and _coprime_mod_p(fp, gp):
+        if f.degree() == 0 or g.degree() == 0 or _coprime_mod_p(f, g):
             return Poly.one()
     a, b = f, g
     while b:
@@ -494,11 +490,6 @@ class RatFunc:
 
     def is_constant(self) -> bool:
         return self.num.degree() <= 0 and self.den.degree() == 0
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError(f"not a constant: {self}")
-        return self.num.coeff(0)
 
     @_binary
     def __add__(self, other: "RatFunc") -> "RatFunc":
@@ -583,24 +574,11 @@ def wronskian(f: Poly, g: Poly) -> Poly:
 
 
 def squarefree(f: Poly) -> bool:
-    """True iff f has no repeated roots, i.e. gcd(f, f') is constant.
-
-    The gcd does not change under scaling, so the certificate of `poly_gcd`
-    runs on the integer numerators F = den * f and F' directly: when _P
-    does not divide lc F (nor deg F, which is far below _P), coprime images
-    mod _P prove gcd(f, f') = 1.  Otherwise Euclid over Q decides.
-    """
-    nums = f._num
-    if not nums:
+    """True iff f has no repeated roots, i.e. gcd(f, f') is constant, as
+    decided by `poly_gcd` (its mod-_P certificate first)."""
+    if f.is_zero():
         raise ValueError("squarefree is undefined for the zero polynomial")
-    d = len(nums) - 1
-    if d == 0:
-        return True
-    if nums[-1] % _P and _coprime_mod_p(
-        [c % _P for c in reversed(nums)], [k * nums[k] % _P for k in range(d, 0, -1)]
-    ):
-        return True
-    return poly_gcd(f, f.derivative()).degree() == 0
+    return f.degree() == 0 or poly_gcd(f, f.derivative()).degree() == 0
 
 
 def log_derivative(f: Union[RatFunc, Poly]) -> RatFunc:

@@ -28,7 +28,8 @@ identity over Q(x) per column (see apply_miura).  Solution shapes:
   diagonal sequences along [i, i+1, ..., r];
 * type B (opers on the sp side): the same shape, with an extra
   half-coefficient factor on [[F_r, F_{i,r-1}], F_{i,r-1}] and trailing
-  factors fed by the folded sl_2r diagonal sequences;
+  factors fed by the folded sl_2r diagonal sequences, continued from the
+  native ones;
 * any type with a minuscule dual representation: the lowest-weight-vector
   formula exp(g_1 E_i1) ... exp(g_k E_ik) v_low along an arbitrary
   reproduction path, the g's computed forward and applied right to left.
@@ -541,9 +542,9 @@ def fold_to_A(y: PolyTuple, p: ProblemData) -> tuple[PolyTuple, ProblemData]:
 def solution_BC(y: PolyTuple, p: ProblemData) -> TwistedMatrix:
     """The Sp(2r)-valued solution for a type B critical tuple.
 
-    Uses both the native diagonal sequences and the folded sl_2r ones;
-    each factor exp(g M) is 1 + g M, applied as a column update.  Verifies
-    D Y = 0 exactly before returning.
+    Uses the native diagonal sequences and the folded sl_2r ones continued
+    from them; each factor exp(g M) is 1 + g M, applied as a column
+    update.  Verifies D Y = 0 exactly before returning.
     """
     if p.cartan.family != "B":
         raise UnsupportedTypeError("solution_BC needs a type B problem")
@@ -556,18 +557,16 @@ def solution_BC(y: PolyTuple, p: ProblemData) -> TwistedMatrix:
     columns = W.cols
     for i in range(1, r):
         bsteps = calibrated_sequence(y.polys, list(range(i, r + 1)), p)
-        asteps = calibrated_sequence(u.polys, list(range(i, 2 * r - i)), pA)
-        for t in range(r - i):
-            # the folded sequence shares its first r-i diagonal polynomials
-            if bsteps[t].diagonal != asteps[t].diagonal:
-                raise VerificationError("folded and native diagonal sequences diverge")
+        # on nodes i..r-1 the folded relations are the native ones and the
+        # mirror entries are untouched: continue the folded sequence from there
+        asteps = calibrated_sequence(bsteps[r - i - 1].entries + u.polys[r:], list(range(r, 2 * r - i)), pA)
         for j in range(i, r):
             g = RatFunc(bsteps[j - i].diagonal, y[j - 1])
             columns = _times_exp(columns, nested_bracket(rep, "F", i, j), g)
         g_half = RatFunc(bsteps[r - i].diagonal, y[r - 1]) * Fraction(1, 2)
         columns = _times_exp(columns, nested_bracket(rep, "double", i, r), g_half)
         for j in range(r, 2 * r - i):
-            g = RatFunc(asteps[j - i].diagonal, y[2 * r - j - 1])
+            g = RatFunc(asteps[j - r].diagonal, y[2 * r - j - 1])
             columns = _times_exp(columns, nested_bracket(rep, "Fstar", i, 2 * r - j), g)
     last = calibrated_sequence(y.polys, [r], p)
     columns = _times_exp(columns, rep.F[r - 1], RatFunc(last[0].diagonal, y[r - 1]))

@@ -147,6 +147,50 @@ def test_every_operation_returns_the_normal_form(f, g, c):
         assert Poly(p.coeffs) == p
 
 
+FRACTIONS = st.fractions() | st.builds(F, st.integers(-(2**200), 2**200), st.integers(1, 2**200))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(FRACTIONS | st.integers(-(2**80), 2**80) | st.just(0), max_size=8))
+def test_coefficient_strings_match_fraction_str(coeffs):
+    poly = Poly(coeffs)
+    assert poly.coeff_strs() == [str(c) for c in poly.coeffs]
+
+
+def fraction_str(self) -> str:
+    """Reference: `Poly.__str__` as written on `Fraction` coefficients."""
+    if self.is_zero():
+        return "0"
+    cs = self.coeffs
+    parts = []
+    for k in range(len(cs) - 1, -1, -1):
+        c = cs[k]
+        if c == 0:
+            continue
+        if k == 0:
+            term = str(c)
+        else:
+            xs = "x" if k == 1 else f"x^{k}"
+            if c == 1:
+                term = xs
+            elif c == -1:
+                term = f"-{xs}"
+            else:
+                term = f"{c}*{xs}"
+        parts.append(term)
+    out = parts[0]
+    for term in parts[1:]:
+        out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([1, -1, 0]) | st.integers(-(2**80), 2**80) | FRACTIONS, max_size=8))
+def test_str_matches_the_fraction_rendering(coeffs):
+    poly = Poly(coeffs)
+    assert str(poly) == fraction_str(poly)
+
+
 def euclid_steps(monkeypatch):
     """Count the divisions over Q made from here on."""
     calls = []
