@@ -183,6 +183,7 @@ class CalibratedStep:
     index: int
     diagonal: Poly  # satisfies the exact Wronskian relation
     entries: tuple[Poly, ...]  # tuple representatives after the step
+    rhs: Poly  # W(prev_i, diagonal), prev_i the entry before the step
 
 
 def calibrated_sequence(
@@ -206,13 +207,14 @@ def calibrated_sequence(
     current = list(entries)
     steps: list[CalibratedStep] = []
     for pos, i in enumerate(indices, start=1):
-        d = wronskian_partner(current[i - 1], wronskian_rhs(current, i, p))
+        rhs = wronskian_rhs(current, i, p)
+        d = wronskian_partner(current[i - 1], rhs)
         if d is None:
             raise ReproductionError(f"calibrated step {pos} (direction {i}) is not fertile")
         if shifts is not None and shifts[pos - 1]:
             d = d + current[i - 1] * Fraction(shifts[pos - 1])
         current[i - 1] = d
-        steps.append(CalibratedStep(index=i, diagonal=d, entries=tuple(current)))
+        steps.append(CalibratedStep(index=i, diagonal=d, entries=tuple(current), rhs=rhs))
     return steps
 
 

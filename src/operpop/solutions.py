@@ -23,19 +23,19 @@ it never returns a wrong product, and no builder forms an n x n product.
 Every builder re-verifies D Y = 0 before returning, as one polynomial
 identity over Q(x) per column (see apply_miura).  Solution shapes:
 
-* type A: Y = Y_0 * Y_1 ... Y_r with Y_0 the weight/T diagonal and Y_i a
-  commuting product of exponentials of nested brackets F_{i,j}, fed by the
-  diagonal sequences along [i, i+1, ..., r];
-* type B (opers on the sp side): the same shape, with an extra
-  half-coefficient factor on [[F_r, F_{i,r-1}], F_{i,r-1}] and trailing
-  factors fed by the folded sl_2r diagonal sequences, continued from the
-  native ones;
 * any type with a minuscule dual representation: the lowest-weight-vector
   formula exp(g_1 E_i1) ... exp(g_k E_ik) v_low along an arbitrary
-  reproduction path, the g's computed forward and applied right to left.
+  reproduction path, the g's computed forward and applied right to left;
+* type A: that formula along [i, i+1, ..., r] is column i-1, i = 1..r+1;
+* type B (opers on the sp side): Y = Y_0 * Y_1 ... Y_r with Y_0 the
+  weight/T diagonal and Y_i a commuting product of exponentials of nested
+  brackets F_{i,j} fed by the diagonal sequences along [i, ..., r], an
+  extra half-coefficient factor on [[F_r, F_{i,r-1}], F_{i,r-1}] and
+  trailing factors fed by the folded sl_2r diagonal sequences, continued
+  from the native ones.
 
-All diagonal sequences are exactly calibrated: W(prev, new) equals the
-relation right-hand side on the nose (see population.calibrated_sequence).
+All diagonal sequences are exactly calibrated (population.calibrated_sequence):
+W(prev, new) = rhs on the nose, so g = -log'(new / prev) = rhs / (prev new).
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from functools import cache, cached_property, reduce
 from operator import mul
 from typing import Optional, Sequence
 
-from .exactalg import Poly, RatFunc, log_derivative, poly_gcd
+from .exactalg import Poly, RatFunc, poly_gcd
 from .critical import PolyTuple, ProblemData
 from .liedata import _orbit, cartan_data, langlands_dual, reflect
 from .miura import MiuraOper, TwistContext, TwistedFunc, _fold, miura_from_tuple, twist_context
@@ -469,28 +469,28 @@ def apply_miura(D: MiuraOper, rep: MatrixRep, Y: TwistedMatrix) -> TwistedMatrix
     return TwistedMatrix.from_columns(Y.ctx, q, columns)
 
 
+def _weight_column(rep: MatrixRep, k: int, entries: Sequence[Poly], up: Poly, down: Poly) -> Column:
+    """Column k of the weight diagonal, given its row's fold T^(w(k)) = T^q up / down."""
+    for entry, H in zip(entries, rep.H):
+        if H[k] < 0:
+            up = up * entry ** -H[k]
+        elif H[k] > 0:
+            down = down * entry ** H[k]
+    return [Poly.zero()] * k + [up] + [Poly.zero()] * (rep.dim - 1 - k), down
+
+
 def _weight_diagonal(ctx: TwistContext, rep: MatrixRep, entries: Sequence[Poly]) -> TwistedMatrix:
     """prod_j entries_j^(-H_j) T_j^(w_j) as T^q diag(num_k / den_k).
 
     The rows' twists differ by integers (weights of a representation differ
     by roots), so they fold to one q; rows that do not raise.
     """
-    n = rep.dim
-    rows = [_fold(ctx, tuple(w[k] for w in rep.coweights)) for k in range(n)]
+    rows = [_fold(ctx, tuple(w[k] for w in rep.coweights)) for k in range(rep.dim)]
     q = rows[0][0]
-    nums, dens = [], []
-    for k, (row_q, up, down) in enumerate(rows):
+    for k, (row_q, _, _) in enumerate(rows):
         if row_q != q:
             raise ValueError(f"row {k} of the weight diagonal has twist {row_q}, not {q}")
-        for entry, H in zip(entries, rep.H):
-            if H[k] < 0:
-                up = up * entry ** -H[k]
-            elif H[k] > 0:
-                down = down * entry ** H[k]
-        nums.append(up)
-        dens.append(down)
-    zero = Poly.zero()
-    cols = [([zero] * k + [nums[k]] + [zero] * (n - 1 - k), dens[k]) for k in range(n)]
+    cols = [_weight_column(rep, k, entries, up, down) for k, (_, up, down) in enumerate(rows)]
     return TwistedMatrix.from_columns(ctx, q, cols)
 
 
@@ -502,28 +502,39 @@ def _verify(D: MiuraOper, rep: MatrixRep, Y: TwistedMatrix, label: str) -> None:
         raise VerificationError(f"{label}: D Y != 0 at entry {i, j}: {R.column(j)[i]!r}")
 
 
-def solution_A(y: PolyTuple, p: ProblemData) -> TwistedMatrix:
-    """The SL(r+1)-valued solution built from the diagonal sequences.
+def _lowest_weight_columns(
+    y: PolyTuple, paths: Sequence[Sequence[int]], p: ProblemData, label: str, shifts: Optional[Sequence] = None
+) -> TwistedMatrix:
+    """A column exp(g_1 E_i1) ... exp(g_k E_ik) v_low per path i1..ik, v_low the
+    weight-diagonal column of the lowest weight at the path's last tuple; the
+    columns share the lowest row's twist, and D Y = 0 is verified once for all."""
+    D = miura_from_tuple(y, p)  # before the rep, so a type without one still checks its pairings
+    rep = default_rep(p)
+    ctx = twist_context(p)
+    q, up, down = _fold(ctx, tuple(w[rep.lowest] for w in rep.coweights))
+    columns = []
+    for path in paths:
+        gs, entries = [], y.polys
+        for step in calibrated_sequence(y.polys, path, p, shifts=shifts):
+            gs.append((rep.E[step.index - 1], RatFunc(step.rhs, entries[step.index - 1] * step.diagonal)))
+            entries = step.entries
+        column = _weight_column(rep, rep.lowest, entries, up, down)
+        for E, g in reversed(gs):  # exp(g_1 E_1) ... exp(g_k E_k) v, right to left
+            column = _exp_times(E, g, column)
+        columns.append(column)
+    Y = TwistedMatrix.from_columns(ctx, q, columns)
+    _verify(D, rep, Y, label)
+    return Y
 
-    Each factor exp(g F_{i,j}) is 1 + g F_{i,j}, applied as a column
-    update.  Verifies D Y = 0 exactly before returning.
+
+def solution_A(y: PolyTuple, p: ProblemData) -> TwistedMatrix:
+    """The SL(r+1)-valued solution: column i-1 is the lowest-weight-vector
+    solution along the path [i, i+1, ..., r], for i = 1..r+1 (the last path
+    is empty).  Verifies D Y = 0 exactly before returning.
     """
     if p.cartan.family != "A":
         raise UnsupportedTypeError("solution_A needs a type A problem")
-    r = p.rank
-    rep = default_rep(p)
-    D = miura_from_tuple(y, p)
-    ctx = twist_context(p)
-    W = _weight_diagonal(ctx, rep, y.polys)
-    columns = W.cols
-    for i in range(1, r + 1):
-        steps = calibrated_sequence(y.polys, list(range(i, r + 1)), p)
-        for j, step in zip(range(i, r + 1), steps):
-            g = RatFunc(step.diagonal, y[j - 1])
-            columns = _times_exp(columns, nested_bracket(rep, "F", i, j), g)
-    Y = TwistedMatrix.from_columns(ctx, W.q, columns)
-    _verify(D, rep, Y, "solution_A")
-    return Y
+    return _lowest_weight_columns(y, [range(i, p.rank + 1) for i in range(1, p.rank + 2)], p, "solution_A")
 
 
 def fold_to_A(y: PolyTuple, p: ProblemData) -> tuple[PolyTuple, ProblemData]:
@@ -586,28 +597,15 @@ def solution_general(
     p: ProblemData,
     shifts: Optional[Sequence[Fraction]] = None,
 ) -> list[TwistedFunc]:
-    """Lowest-weight-vector solution along an arbitrary reproduction path.
+    """Lowest-weight-vector solution along an arbitrary reproduction path, from
+    the column routine that also gives solution_A's columns.
 
     `shifts` selects a non-canonical associated diagonal sequence (one
     rational shift per step).  Returns the vector of twisted coordinates;
     D_y Y = 0 is verified exactly before returning.
     """
-    D = miura_from_tuple(y, p)  # before the rep, so a type without one still checks its pairings
-    rep = default_rep(p)
-    ctx = twist_context(p)
     try:
-        steps = calibrated_sequence(y.polys, indices, p, shifts=shifts)
+        Y = _lowest_weight_columns(y, [indices], p, "solution_general", shifts)
     except ReproductionError as exc:
         raise ReproductionError(f"invalid path {list(indices)}: {exc}") from exc
-    gs, entries = [], y.polys
-    for step in steps:
-        i = step.index
-        gs.append((rep.E[i - 1], -log_derivative(RatFunc(step.diagonal, entries[i - 1]))))
-        entries = step.entries
-    diag = _weight_diagonal(ctx, rep, entries)
-    column = diag.cols[rep.lowest]
-    for E, g in reversed(gs):  # exp(g_1 E_1) ... exp(g_k E_k) v, right to left
-        column = _exp_times(E, g, column)
-    Y = TwistedMatrix.from_columns(ctx, diag.q, [column])
-    _verify(D, rep, Y, "solution_general")
     return Y.column(0)

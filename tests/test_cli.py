@@ -180,6 +180,14 @@ class TestSolve:
         code, verified = run(["verify", path, "--path", "1,2"], tmp_path, capsys)
         assert code == 0 and solved["solution"] == verified["solution"]
 
+    def test_the_sl_builder_names_the_infertile_step(self, tmp_path, capsys):
+        # no "invalid path" prefix: that names the path given to the general builder
+        doc = dict(A2_N0, weights=[[1, 0], [0, 1]], points=["0", "1"], tuple=[["3", "1"], ["1"]])
+        path = write(tmp_path, "p.json", doc)
+        code, report = run(["solve", path], tmp_path, capsys)
+        assert code == 1
+        assert report["error"] == "calibrated step 1 (direction 1) is not fertile"
+
     @pytest.mark.parametrize("doc,args", [(dict(A2_N0, path=[]), []), (A2_N0, ["--path", ""])])
     def test_an_empty_path_selects_the_general_builder(self, doc, args, tmp_path, capsys):
         path = write(tmp_path, "p.json", doc)

@@ -6,7 +6,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from operpop.exactalg import Poly, squarefree, wronskian, wronskian_partner
+from conftest import residual_case
+
+from operpop.exactalg import Poly, RatFunc, log_derivative, squarefree, wronskian, wronskian_partner
 from operpop.critical import FertilityError, PolyTuple, build_T, fertility_direction, is_generic, problem
 from operpop.liedata import (
     cell_words,
@@ -107,6 +109,20 @@ class TestCalibratedSequence:
                         rhs = rhs * current[j] ** e
                 assert wronskian(current[i - 1], step.diagonal) == rhs
                 current[i - 1] = step.diagonal
+
+    @pytest.mark.parametrize("name", ["a3", "a3_zero_weight", "b2", "d4_zero_weight"])
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_each_step_carries_its_wronskian(self, name, shifted, request):
+        # a shift adds a multiple of prev to d and leaves W(prev, d) alone; the
+        # step's rhs gives -log'(d / prev) = W(prev, d) / (prev d) in one gcd
+        p, y, path = residual_case(name, request)
+        shifts = [F(2 * k - 5, k) for k in range(1, len(path) + 1)] if shifted else None
+        entries = y.polys
+        for step in calibrated_sequence(entries, path, p, shifts=shifts):
+            prev = entries[step.index - 1]
+            assert wronskian(prev, step.diagonal) == step.rhs
+            assert RatFunc(step.rhs, prev * step.diagonal) == -log_derivative(RatFunc(step.diagonal, prev))
+            entries = step.entries
 
     def test_wronskian_partner_nonsquarefree_base(self):
         # base x^3/3 with constant integrand: the B_2 [1,2,1,2] step

@@ -11,7 +11,7 @@ from operpop.exactalg import Poly, RatFunc
 from operpop.critical import PolyTuple, problem
 from operpop.liedata import cartan_data, langlands_dual, weyl_elements
 from operpop.miura import TwistedFunc, miura_from_tuple, twist_context
-from operpop.population import ReproductionError, explore
+from operpop.population import ReproductionError, calibrated_sequence, explore
 from operpop import solutions
 from operpop.solutions import (
     MatrixRep,
@@ -303,6 +303,30 @@ class TestSolutionA:
         with pytest.raises(UnsupportedTypeError):
             solution_A(b2_tuple, b2_problem)
 
+    @pytest.mark.parametrize(
+        "rank, weights, points", [(3, [[1, 0, 0], [0, 0, 1]], [0, -1]), (2, [], []), (3, [], [])]
+    )
+    def test_matches_the_nested_bracket_formula(self, rank, weights, points):
+        p = problem("A", rank, weights, points)
+        for cell in explore(PolyTuple.constants(rank), p).cells.values():
+            assert solution_A(cell.sample, p) == nested_bracket_solution_A(cell.sample, p)
+
+
+def nested_bracket_solution_A(y, p):
+    """Y = Y_0 Y_1 ... Y_r, Y_0 the weight/T diagonal and Y_i the commuting
+    product of exp(g_ij F_{i,j}), g_ij = d_j / y_j for the diagonal sequence
+    d_i, ..., d_r along [i, ..., r]: solution_A's formula before it took the
+    lowest-weight columns, kept as a reference."""
+    r, rep, ctx = p.rank, default_rep(p), twist_context(p)
+    W = solutions._weight_diagonal(ctx, rep, y.polys)
+    columns = W.cols
+    for i in range(1, r + 1):
+        steps = calibrated_sequence(y.polys, list(range(i, r + 1)), p)
+        for j, step in zip(range(i, r + 1), steps):
+            g = RatFunc(step.diagonal, y[j - 1])
+            columns = solutions._times_exp(columns, nested_bracket(rep, "F", i, j), g)
+    return TwistedMatrix.from_columns(ctx, W.q, columns)
+
 
 class TestFoldToA:
     def test_palindrome(self, b2_problem, b2_tuple):
@@ -371,10 +395,13 @@ class TestSolutionGeneral:
         assert vec[0].is_zero()
         assert vec[1] == TwistedFunc.one(ctx)
 
-    def test_path_matches_solution_A_column(self, half_problem, half_tuple):
-        vec = solution_general(half_tuple, [1], half_problem)
-        Y = solution_A(half_tuple, half_problem)
-        assert vec == Y.column(0)
+    def test_path_matches_solution_A_column(self, request):
+        # column i-1 of solution_A is the path [i, ..., r]; the last is []
+        for name in ("half", "a2", "a3"):
+            p, y, _ = residual_case(name, request)
+            Y = solution_A(y, p)
+            for i in range(1, p.rank + 2):
+                assert solution_general(y, list(range(i, p.rank + 1)), p) == Y.column(i - 1)
 
     def test_sl3_exponent_lattice(self):
         p = problem("A", 2, [[1, 0], [0, 1]], [0, 1])
@@ -529,15 +556,15 @@ def test_an_entry_plus_one_is_caught(name, request, monkeypatch):
         assert any(not v.is_zero() for row in twisted_residual(y, p, rows) for v in row)
 
     # the same change inside a builder: the last weight-diagonal entry + 1
-    weight_diagonal = solutions._weight_diagonal
+    weight_column = solutions._weight_column
 
-    def perturbed(ctx, rep, entries):
-        W = weight_diagonal(ctx, rep, entries)
-        num = [list(row) for row in W.num]
-        num[-1][-1] = num[-1][-1] + W.den
-        return TwistedMatrix(ctx, W.q, num, W.den)
+    def perturbed(rep, k, entries, up, down):
+        nums, den = weight_column(rep, k, entries, up, down)
+        if k == rep.dim - 1:
+            nums[k] = nums[k] + den
+        return nums, den
 
-    monkeypatch.setattr(solutions, "_weight_diagonal", perturbed)
+    monkeypatch.setattr(solutions, "_weight_column", perturbed)
     matrix = solution_A if p.cartan.family == "A" else solution_BC
     with pytest.raises(VerificationError, match="D Y != 0"):
         matrix(y, p)
