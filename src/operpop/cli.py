@@ -74,8 +74,8 @@ FIELDS = ("lie_type", "rank", "weights", "points", "tuple", "path", "bethe")
 MAX_T_DEGREE = 256
 
 # Bound on the rank.  The inverse Cartan matrix is dense r x r over Q: at
-# r = 64 its Gauss-Jordan elimination takes about 1.1 s, and a zero-weight
-# A_100 `check` took 11 s and A_200 78 s (2 vCPU, Python 3.11).
+# r = 64 its fraction-free elimination takes about 0.08 s, and a
+# zero-weight A_64 `verify` about 0.4 s (2 vCPU, Python 3.11).
 MAX_RANK = 64
 
 # Exponent forms such as "1e10000000" are left out: Fraction would spend

@@ -18,18 +18,30 @@ primitives everything else is built from:
   None when there is none.  Fertility, calibrated reproduction steps and
   `rational_antiderivative(f)` are all this one question.
 
-`poly_gcd` first tries a certificate of coprimality mod the prime
-_P = 2^61 - 1, on the stored integer numerators F = den_f * f and
-G = den_g * g.  It applies when _P divides neither leading numerator.
-The gcd over Q of f and g is that of F and G.  Let h be a common
-factor, primitive in Z[x] with deg h >= 1, and F = h*k; then k is in
-Z[x] (Gauss's lemma), and as _P does not divide lc F = lc h * lc k,
-h mod _P keeps its degree and divides the images of F and of G.  Hence a
-constant gcd of the images proves a constant gcd over Q, and `poly_gcd`
-returns 1 without Euclid over Q.  In every other case it runs Euclid over
-Q through `divmod`, keeping the primitive part of each remainder (a
-primitive remainder sequence), so every answer is the exact monic gcd
-(Brown 1971; von zur Gathen & Gerhard, Modern Computer Algebra, ch. 6).
+`poly_gcd` takes nonconstant f and g through one integer gcd (the
+heuristic gcd of Char, Geddes & Gonnet, J. Symbolic Comput. 1989) and a
+trial division.  The gcd over Q of f and g is that of the stored integer
+numerators F = den_f * f and G = den_g * g; let H be their primitive gcd
+in Z[x].  By Cauchy's bound every root of F has modulus below
+1 + ||F||_inf, so every common root has modulus below
+B = 1 + min(||F||_inf, ||G||_inf).  Take xi = 2^k >= 2^17 * B >= 2B and
+gamma = gcd(F(xi), G(xi)), nonzero since xi is no root of the operand of
+smaller norm.  A factor q of H with deg q >= 1 has
+|q(xi)| >= prod |xi - z| > (xi - B)^deg q >= xi/2 (z over the roots of q),
+and q(xi) divides gamma.  Hence:
+
+* gamma < xi/2 proves gcd(f, g) = 1;
+* otherwise let h be the primitive part of the balanced base-xi digits of
+  gamma (each digit of modulus at most xi/2, so gamma = c * h(xi) with
+  0 < c <= xi/2).  If h divides F and G, then H = h * q with q in Z[x]
+  (Gauss's lemma) and H(xi) divides gamma, so q(xi) divides c; as
+  |c| <= xi/2, q is constant and h.monic() is the monic gcd;
+* if h fails the trial division (an unlucky xi), Euclid over Q decides.
+
+Euclid over Q runs through `divmod`, keeping the primitive part of each
+remainder (a primitive remainder sequence), so every answer is the exact
+monic gcd (Brown 1971; von zur Gathen & Gerhard, Modern Computer Algebra,
+ch. 6).
 
 `integrate_shape(N, y)` (the Hermite split N/y^2 = P' + (-A/y)' + B/y for
 squarefree monic y, via `poly_ext_gcd`) is kept as an independent
@@ -367,53 +379,46 @@ def binary_power(base, n: int):
     return result
 
 
-# The prime of the coprimality certificate in `poly_gcd`.
-_P = 2**61 - 1
+def _value_at_power_of_two(nums: list[int], k: int) -> int:
+    """The integer polynomial with ascending coefficients nums at x = 2^k."""
+    acc = 0
+    for c in reversed(nums):
+        acc = (acc << k) + c
+    return acc
 
 
-def _coprime_mod_p(f: Poly, g: Poly) -> bool:
-    """True iff Euclid mod _P on the numerators of nonzero f and g ends at
-    a nonzero constant, which proves gcd(f, g) = 1 (module docstring);
-    False when _P divides either leading numerator.
-
-    Each step takes the pseudo-remainder lc(b)^e * a mod b: scaling by the
-    unit lc(b) does not change the gcd, and it needs no inverse mod _P.
-    """
-    if not f._num[-1] % _P or not g._num[-1] % _P:
-        return False
-    a = [c % _P for c in reversed(f._num)]
-    b = [c % _P for c in reversed(g._num)]
-    if len(a) < len(b):
-        a, b = b, a
-    while len(b) > 1:
-        b0, n = b[0], len(b)
-        for k in range(len(a) - n + 1):
-            c = a[k]
-            if c:
-                for j in range(1, n):
-                    a[k + j] = (b0 * a[k + j] - c * b[j]) % _P
-                for j in range(k + n, len(a)):
-                    a[j] = b0 * a[j] % _P
-        rem = a[len(a) - n + 1 :]
-        while rem and not rem[0]:
-            del rem[0]
-        if not rem:
-            return False
-        a, b = b, rem
-    return True
+def _balanced_digits(n: int, k: int) -> list[int]:
+    """The digits of n > 0 in base 2^k, ascending, each in (-2^(k-1), 2^(k-1)]."""
+    half, mask, digits = 1 << (k - 1), (1 << k) - 1, []
+    while n:
+        d = n & mask
+        if d > half:
+            d -= mask + 1
+        digits.append(d)
+        n = (n - d) >> k
+    return digits
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic gcd; gcd(0, 0) = 0.
 
-    Answers 1 at once when both operands are nonzero and one is constant,
-    and without Euclid over Q when their numerators are coprime mod _P
-    (the certificate of the module docstring); otherwise, and for zero
-    operands, runs Euclid over Q on primitive remainders.
+    Answers 1 at once when both operands are nonzero and one is constant;
+    for two nonconstant operands it first takes one integer gcd at
+    x = 2^k (the evaluation route of the module docstring), which returns
+    1 or a trial-divided candidate; when the candidate fails, and for zero
+    operands, it runs Euclid over Q on primitive remainders.
     """
     if f and g:
-        if f.degree() == 0 or g.degree() == 0 or _coprime_mod_p(f, g):
+        if f.degree() == 0 or g.degree() == 0:
             return Poly.one()
+        F, G = f._num, g._num
+        k = (1 + min(max(map(abs, F)), max(map(abs, G)))).bit_length() + 17
+        gamma = gcd(_value_at_power_of_two(F, k), _value_at_power_of_two(G, k))
+        if gamma < 1 << (k - 1):
+            return Poly.one()
+        h = _primitive(_raw(_balanced_digits(gamma, k), 1))
+        if not f % h and not g % h:
+            return h.monic()
     a, b = f, g
     while b:
         a, b = b, _primitive(a % b)
@@ -575,7 +580,7 @@ def wronskian(f: Poly, g: Poly) -> Poly:
 
 def squarefree(f: Poly) -> bool:
     """True iff f has no repeated roots, i.e. gcd(f, f') is constant, as
-    decided by `poly_gcd` (its mod-_P certificate first)."""
+    decided by `poly_gcd` (its evaluation route at x = 2^k first)."""
     if f.is_zero():
         raise ValueError("squarefree is undefined for the zero polynomial")
     return f.degree() == 0 or poly_gcd(f, f.derivative()).degree() == 0
@@ -608,8 +613,10 @@ def wronskian_partner(y: Poly, N: Poly) -> Optional[Poly]:
     (d - k) lc(y) x^(d+k-1), d = deg y, so the coefficients u_m .. u_0,
     m = deg N + 1 - d, follow top-down from the coefficients of N.  The
     power k = d is skipped: it is the free multiple of y, which the final
-    shift fixes so that (u // y)(0) = 0.  A partner exists iff the residual
-    of the solve is zero.  No gcd, and y need not be monic or squarefree.
+    shift fixes so that (u // y)(0) = 0; the shift is read from the top
+    deg u - d + 1 coefficients (`_quotient_constant`), with no full
+    division.  A partner exists iff the residual of the solve is zero.  No
+    gcd, and y need not be monic or squarefree.
     """
     if y.is_zero():
         raise ValueError("wronskian_partner needs a nonzero y")
@@ -643,10 +650,30 @@ def wronskian_partner(y: Poly, N: Poly) -> Optional[Poly]:
     if y._den != 1:
         u = [x * y._den for x in u]
     partner = _poly(u, scale * N._den)
-    if partner.degree() < d:  # partner // y = 0
-        return partner
-    shift = (partner // y).coeff(0)
+    shift = _quotient_constant(partner, y)
     return partner - y * shift if shift else partner
+
+
+def _quotient_constant(f: Poly, y: Poly) -> Fraction:
+    """(f // y).coeff(0) for nonzero y, from the top deg f - deg y + 1
+    coefficients of f only.
+
+    Fraction-free top-down division: with e = deg f - deg y, each of the e
+    steps scales what is left by lc(y) before it cancels the top
+    coefficient, so the coefficient left at x^(deg y) is lc(y)^(e+1) times
+    the constant of the quotient of the numerators.
+    """
+    ys, d = y._num, len(y._num) - 1
+    e = len(f._num) - 1 - d
+    if e < 0:
+        return Fraction(0)
+    lead, rem = ys[-1], f._num[d:]
+    low = [0] * e + ys[:-1]  # low[e + j] = ys[j], and 0 for j < 0
+    for k in range(e, 0, -1):
+        # rem <- lead * rem - rem[k] * x^k * ys, whose top term cancels
+        c = rem[k]
+        rem = [lead * r - c * t for r, t in zip(rem[:k], low[d + e - k :])]
+    return Fraction(rem[0] * y._den, lead ** (e + 1) * f._den)
 
 
 def rational_antiderivative(f: RatFunc) -> Optional[RatFunc]:

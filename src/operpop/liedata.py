@@ -128,27 +128,29 @@ def _cartan_matrix(family: str, rank: int) -> tuple[list[list[int]], list[int]]:
 
 
 def _invert_integer_matrix(a: Sequence[Sequence[int]]) -> tuple[tuple[tuple[Fraction, ...], ...], int]:
-    """(a^-1, det a) from one Gauss-Jordan elimination of [a | I]."""
+    """(a^-1, det a) by fraction-free Gauss-Jordan elimination of [a | I].
+
+    Step s replaces every row but the pivot row by (p_s row - m_ks pivot row)
+    / p_(s-1), an exact integer division (Bareiss 1968), so after the last
+    step [a | I] has become [det a * I | adj a].  A finite-type Cartan
+    matrix has positive leading principal minors, which are the pivots; the
+    first pivot that is not positive rejects a.  One division per entry of
+    adj a gives the inverse.
+    """
     r = len(a)
-    m = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(r)] for i, row in enumerate(a)]
-    det = Fraction(1)
+    m = [list(row) + [int(i == j) for j in range(r)] for i, row in enumerate(a)]
+    prev = 1
     for col in range(r):
-        pivot = next((k for k in range(col, r) if m[k][col] != 0), None)
-        if pivot is None:
-            raise ValueError("Cartan matrix is singular (not finite type)")
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        lead = m[col][col]
-        det *= lead
-        m[col] = [x / lead for x in m[col]]
+        pivot_row = m[col]
+        p = pivot_row[col]
+        if p <= 0:
+            raise ValueError("Cartan matrix has a leading minor <= 0 (not finite type)")
         for k in range(r):
             factor = m[k][col]
-            if k != col and factor != 0:
-                m[k] = [x - factor * y for x, y in zip(m[k], m[col])]
-    if det <= 0:
-        raise ValueError("Cartan determinant not positive (not finite type)")
-    return tuple(tuple(row[r:]) for row in m), int(det)
+            if k != col:
+                m[k] = [(p * x - factor * y) // prev for x, y in zip(m[k], pivot_row)]
+        prev = p
+    return tuple(tuple(Fraction(v, prev) for v in row[r:]) for row in m), prev
 
 
 @cache

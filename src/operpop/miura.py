@@ -322,6 +322,14 @@ def _fold(ctx: TwistContext, raw: ExpVec) -> tuple[ExpVec, Poly, Poly]:
     return tuple(q), up, down
 
 
+def _canonical(ctx: TwistContext, q: ExpVec) -> bool:
+    """True iff `_fold` returns q as it is, with up = down = 1: q is in
+    (1/d)Z^r and [0, 1)^r, and 0 at every node with T_l = 1."""
+    return all(
+        0 <= e < 1 and (e * ctx.d).denominator == 1 and (not e or ctx.T[l].degree() > 0) for l, e in enumerate(q)
+    )
+
+
 def twisted_wronskian(u: TwistedFunc, v: TwistedFunc) -> TwistedFunc:
     return u.derivative() * v - u * v.derivative()
 

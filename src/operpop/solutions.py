@@ -49,7 +49,7 @@ from typing import Optional, Sequence
 from .exactalg import Poly, RatFunc, poly_gcd
 from .critical import PolyTuple, ProblemData
 from .liedata import _orbit, cartan_data, langlands_dual, reflect
-from .miura import MiuraOper, TwistContext, TwistedFunc, _fold, miura_from_tuple, twist_context
+from .miura import MiuraOper, TwistContext, TwistedFunc, _canonical, _fold, miura_from_tuple, twist_context
 from .population import ReproductionError, calibrated_sequence
 
 
@@ -242,11 +242,11 @@ class TwistedMatrix:
 
     Column j is (num_j, den_j): polynomials over a denominator of its own.
     Every column shares the one twist q, canonical in [0, 1)^r;
-    construction folds the integer parts of q into the numerators or the
-    denominators.  `num` and `den` give the matrix over one common
-    denominator, the lcm of the den_j.  Entries are not reduced; `rows` and
-    `column` render each one as the twisted function RatFunc(num_ij, den_j)
-    * T^q.
+    construction folds the integer parts of a q that is not canonical yet
+    into the numerators or the denominators.  `num` and `den` give the
+    matrix over one common denominator, the lcm of the den_j.  Entries are
+    not reduced; `rows` and `column` render each one as the twisted function
+    RatFunc(num_ij, den_j) * T^q.
     """
 
     __slots__ = ("ctx", "q", "cols")
@@ -256,12 +256,13 @@ class TwistedMatrix:
         self._set(ctx, q, [(list(col), den) for col in zip(*num)])
 
     def _set(self, ctx: TwistContext, q: Sequence, cols: list[Column]) -> None:
-        self.ctx = ctx
-        self.q, up, down = _fold(ctx, tuple(Fraction(e) for e in q))
-        if up.degree() > 0:
-            cols = [([v * up for v in nums], d) for nums, d in cols]
-        if down.degree() > 0:
-            cols = [(nums, d * down) for nums, d in cols]
+        self.ctx, self.q = ctx, tuple(Fraction(e) for e in q)
+        if not _canonical(ctx, self.q):
+            self.q, up, down = _fold(ctx, self.q)
+            if up.degree() > 0:
+                cols = [([v * up for v in nums], d) for nums, d in cols]
+            if down.degree() > 0:
+                cols = [(nums, d * down) for nums, d in cols]
         self.cols = cols
 
     @classmethod

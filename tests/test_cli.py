@@ -602,6 +602,25 @@ class TestInputBoundary:
         assert report["elapsed_s"] < 1
 
 
+    def test_largest_t_degree_is_accepted(self, tmp_path, capsys):
+        doc = {"lie_type": "A", "rank": 1, "weights": [[256]], "points": ["0"], "tuple": [["1"]]}
+        code, report = run(["check", write(tmp_path, "p.json", doc)], tmp_path, capsys)
+        assert code == 0
+        assert report["generic"] and "error" not in report
+
+    def test_t_degree_one_over_the_bound_exits_2(self, tmp_path, capsys):
+        doc = {"lie_type": "A", "rank": 1, "weights": [[257]], "points": ["0"], "tuple": [["1"]]}
+        code, report = run(["check", write(tmp_path, "p.json", doc)], tmp_path, capsys)
+        assert code == 2
+        assert report["error"] == "weights: deg T_1 = 257 exceeds 256"
+
+    def test_rank_one_over_the_bound_exits_2(self, tmp_path, capsys):
+        doc = dict(RANK_80, rank=65, tuple=[["1"]] * 65)
+        code, report = run(["check", write(tmp_path, "p.json", doc)], tmp_path, capsys)
+        assert code == 2
+        assert report["error"] == "rank 65 exceeds 64"
+
+
 # Integer leaves stay small on purpose: the boundary rejects deg T_i over
 # MAX_T_DEGREE, but a well-formed document near that limit is still a long
 # populate or solve run, not an input the boundary should reject.

@@ -3,12 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from operpop.exactalg import (
-    _P,
     Poly,
     RatFunc,
+    _quotient_constant,
     integrate_shape,
     log_derivative,
     poly_ext_gcd,
@@ -21,6 +21,7 @@ from operpop.exactalg import (
 
 F = Fraction
 X = Poly.x()
+P = 2**61 - 1  # a large prime, as a coefficient and as a denominator
 
 
 def rand_poly(rng, max_deg=4, zero_ok=True):
@@ -192,10 +193,10 @@ def test_str_matches_the_fraction_rendering(coeffs):
 
 
 def euclid_steps(monkeypatch):
-    """Count the divisions over Q made from here on."""
+    """Record the operands of the divisions over Q made from here on."""
     calls = []
     divmod_q = Poly.__divmod__
-    monkeypatch.setattr(Poly, "__divmod__", lambda a, b: calls.append(1) or divmod_q(a, b))
+    monkeypatch.setattr(Poly, "__divmod__", lambda a, b: calls.append((a, b)) or divmod_q(a, b))
     return calls
 
 
@@ -208,20 +209,32 @@ class TestGcdCertificate:
         assert squarefree(f)
         assert calls == []
 
-    def test_unlucky_prime_falls_back(self, monkeypatch):
-        # x - 3 and x - 3 - _P have the same image mod _P
+    def test_unlucky_evaluation_point_falls_back(self, monkeypatch):
+        # B = 1 + min(3, xi - 6) = 4, so xi = 2^20; there (x - 3)(xi) = xi - 3
+        # and (x + xi - 6)(xi) = 2 (xi - 3), whose gcd has the digits of
+        # x - 3: the candidate fails the trial division by x + xi - 6
+        xi = 2**20
+        f, g = X - Poly.const(3), X + Poly.const(xi - 6)
         calls = euclid_steps(monkeypatch)
-        assert poly_gcd(Poly([-3, 1]), Poly([-3 - _P, 1])) == Poly.one()
-        assert calls
+        assert poly_gcd(f, g) == Poly.one()
+        assert (g, f) in calls  # the trial division that fails
+        assert (f, g) in calls  # the first step of Euclid over Q
+
+    def test_common_root_near_the_root_bound(self):
+        # the root 3 is just below B = 4; at xi = 4 < 2B, x - 3 takes the
+        # value 1 and gcd(x - 3, x - 3) would come out as 1
+        f = X - Poly.const(3)
+        assert poly_gcd(f, f) == f
+        assert poly_gcd(f * (X + Poly.const(2)), f * (X - Poly.one())) == f
+        assert not squarefree(f * f)
 
     def test_leading_coefficient_divisible_by_p(self):
-        # h mod _P is the constant 1, so the images of f and g are coprime
-        h = Poly([1, _P])
+        h = Poly([1, P])
         f, g = h * X, h * (X + Poly.one())
-        assert poly_gcd(f, g) == Poly([F(1, _P), 1])
+        assert poly_gcd(f, g) == Poly([F(1, P), 1])
 
     def test_denominator_divisible_by_p(self):
-        h = Poly([F(1, _P), 1])
+        h = Poly([F(1, P), 1])
         assert poly_gcd(h * X, h * (X + Poly.one())) == h
 
     def test_zero_and_constant_operands(self):
@@ -230,7 +243,7 @@ class TestGcdCertificate:
         assert poly_gcd(Poly.zero(), g) == g.monic()
         assert poly_gcd(g, Poly.zero()) == g.monic()
         assert poly_gcd(Poly.const(F(3, 5)), g) == Poly.one()
-        assert poly_gcd(g, Poly.const(_P)) == Poly.one()
+        assert poly_gcd(g, Poly.const(P)) == Poly.one()
 
 
 class TestWronskian:
@@ -494,6 +507,26 @@ class TestWronskianPartner:
             else:
                 assert u is None
             done += 1
+
+
+SHIFT_SCALARS = st.builds(F, st.integers(-9, 9), st.integers(1, 12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(SHIFT_SCALARS, min_size=1, max_size=5).map(Poly).filter(bool),
+    st.lists(SHIFT_SCALARS, max_size=9).map(Poly),
+    st.booleans(),
+)
+# non-monic y, non-unit denominators on both operands, deg f = deg y + 2
+@example(Poly([F(1, 3), F(-2, 5), F(3, 7)]), Poly([F(1, 2), F(5, 3), F(-4, 9), F(7, 11), F(2, 5)]), False)
+# deg f = deg y, both non-monic over non-unit denominators
+@example(Poly([F(1, 3), F(-2, 5), F(3, 7)]), Poly([F(5, 4), 0, F(-6, 11)]), False)
+def test_quotient_constant_is_that_of_the_division(y, f, same_degree):
+    if same_degree:
+        # f = c y + (lower terms): the quotient is the constant c
+        f = y * F(-7, 4) + Poly(f.coeffs[: y.degree()])
+    assert _quotient_constant(f, y) == (f // y).coeff(0)
 
 
 class TestPow:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from operpop.liedata import (
     CellError,
+    _invert_integer_matrix,
     cartan_data,
     cell_words,
     degrees_for,
@@ -91,6 +92,24 @@ class TestCartanData:
     )
     def test_determinants(self, family, rank, det):
         assert cartan_data(family, rank).det_d == det
+
+    def test_type_a_inverse_closed_form(self):
+        # b_ij = min(i, j) - ij / (r + 1) for A_r
+        for r in range(1, 65):
+            c = cartan_data("A", r)
+            assert c.det_d == r + 1
+            for i in range(1, r + 1):
+                assert c.b[i - 1] == tuple(min(i, j) - F(i * j, r + 1) for j in range(1, r + 1))
+
+    def test_inverse_rejects_a_matrix_of_no_finite_type(self):
+        # the affine A_1 matrix: singular, its second pivot is 0
+        with pytest.raises(ValueError, match="not finite type"):
+            _invert_integer_matrix([[2, -2], [-2, 2]])
+        # a 3-cycle of -1s (affine A_2) and an indefinite 2x2 matrix
+        with pytest.raises(ValueError, match="not finite type"):
+            _invert_integer_matrix([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
+        with pytest.raises(ValueError, match="not finite type"):
+            _invert_integer_matrix([[2, -3], [-2, 2]])
 
     def test_invalid_types_rejected(self):
         for family, rank in [("D", 2), ("E", 5), ("F", 3), ("G", 3), ("A", 0), ("X", 2)]:

@@ -288,6 +288,24 @@ class TestSolutionA:
         D = miura_from_tuple(half_tuple, half_problem)
         assert apply_miura(D, rep, Y @ g).is_zero()
 
+    def test_only_a_twist_that_is_not_canonical_is_folded(self, half_problem, monkeypatch):
+        ctx = twist_context(half_problem)  # T_1 = x (x - 1), d = 2
+        calls = []
+        fold = solutions._fold
+        monkeypatch.setattr(solutions, "_fold", lambda *args: calls.append(args) or fold(*args))
+        one = [[Poly.one()]]
+        Y = TwistedMatrix(ctx, [F(1, 2)], one, Poly.one())
+        assert calls == [] and Y.q == (F(1, 2),) and Y.num == one
+        Y = TwistedMatrix(ctx, [F(3, 2)], one, Poly.one())  # T^(3/2) = T^(1/2) T
+        assert len(calls) == 1 and Y.q == (F(1, 2),) and Y.num == [[ctx.T[0]]]
+        Y = TwistedMatrix(ctx, [F(-1, 2)], one, Poly.one())  # T^(-1/2) = T^(1/2) / T
+        assert Y.q == (F(1, 2),) and Y.den == ctx.T[0]
+        with pytest.raises(ValueError, match="not in"):
+            TwistedMatrix(ctx, [F(1, 3)], one, Poly.one())
+        # T_2 = 1: the twist at node 2 is trivial and folds to 0
+        ctx = twist_context(problem("A", 2, [[1, 0]], [0]))
+        assert TwistedMatrix(ctx, [F(1, 3), F(1, 3)], one, Poly.one()).q == (F(1, 3), 0)
+
     def test_commuting_factors(self):
         # within Y_i of the type A formula the bracket matrices commute
         for m in (3, 4):

@@ -15,13 +15,14 @@ from hypothesis import example, given, settings, strategies as st
 from sympy.integrals.rationaltools import ratint
 
 from conftest import sympy_diag, sympy_matrix
-from operpop.exactalg import _P, Poly, RatFunc, poly_gcd, squarefree, wronskian, wronskian_partner
+from operpop.exactalg import Poly, RatFunc, poly_gcd, squarefree, wronskian, wronskian_partner
 from operpop.liedata import cartan_data, langlands_dual
 from operpop.solutions import rep_minuscule
 
 x = sympy.Symbol("x")
 
 SCALARS = st.builds(F, st.integers(-5, 5), st.integers(1, 4))
+P = 2**61 - 1  # a large prime, as a coefficient and as a denominator
 
 
 def polys(max_degree, nonzero=False):
@@ -65,22 +66,23 @@ def test_wronskian_partner_against_ratint(y, u0, other, fertile):
 
 @st.composite
 def poly_pairs(draw):
-    """Pairs with or without a common factor; some are shifted by _P * x^k,
-    so that their images mod _P coincide or lose the leading term."""
+    """Pairs with or without a common factor; some are shifted by P * x^k,
+    a coefficient far above the others (it sets the root bound of one
+    operand only), which may also become the leading one."""
     f, g = draw(polys(4)), draw(polys(4))
     if draw(st.booleans()):
         h = draw(polys(2, nonzero=True))
         f, g = f * h, g * h
     if draw(st.booleans()):
-        g = g + Poly([0] * draw(st.integers(0, 6)) + [_P])
+        g = g + Poly([0] * draw(st.integers(0, 6)) + [P])
     return f, g
 
 
 @settings(max_examples=200, deadline=None)
 @given(poly_pairs())
-# _P divides the stored denominator: the certificate reads the numerators
-@example((Poly([F(1, _P), 0, F(1, _P)]), Poly([0, 1])))
-@example((Poly([F(-1, _P), 0, F(1, _P)]), Poly([-1, 1])))
+# P divides the stored denominator: the gcd reads the numerators
+@example((Poly([F(1, P), 0, F(1, P)]), Poly([0, 1])))
+@example((Poly([F(-1, P), 0, F(1, P)]), Poly([-1, 1])))
 def test_poly_gcd_against_sympy(pair):
     f, g = pair
     expected = sympy.Poly(to_sympy(f), x, domain="QQ").gcd(sympy.Poly(to_sympy(g), x, domain="QQ"))
@@ -89,10 +91,19 @@ def test_poly_gcd_against_sympy(pair):
     assert sympy.expand(to_sympy(poly_gcd(f, g)) - expected.as_expr()) == 0
 
 
+@settings(max_examples=100, deadline=None)
+@given(polys(3, nonzero=True), polys(3, nonzero=True), polys(2, nonzero=True), st.integers(2, 2**120))
+def test_poly_gcd_with_a_large_common_content_against_sympy(f, g, h, content):
+    # the content raises both root bounds, and so the evaluation point
+    f, g = f * h * content, g * h * content
+    expected = sympy.Poly(to_sympy(f), x, domain="QQ").gcd(sympy.Poly(to_sympy(g), x, domain="QQ"))
+    assert sympy.expand(to_sympy(poly_gcd(f, g)) - expected.monic().as_expr()) == 0
+
+
 # Ring-layer draws: small scalars, scalars of up to about 200 bits, and
-# scalars whose denominator is divisible by _P.
+# scalars whose denominator is divisible by P.
 BIG_SCALARS = st.builds(F, st.integers(-(2**200), 2**200), st.integers(1, 2**200))
-P_SCALARS = st.builds(lambda n, d: F(n, d * _P), st.integers(-9, 9), st.integers(1, 9))
+P_SCALARS = st.builds(lambda n, d: F(n, d * P), st.integers(-9, 9), st.integers(1, 9))
 RING_SCALARS = SCALARS | BIG_SCALARS | P_SCALARS
 
 
@@ -111,11 +122,11 @@ def rational(c: F):
 
 @settings(max_examples=200, deadline=None)
 @given(ring_polys(3, nonzero=True), ring_polys(2, nonzero=True), st.booleans())
-# lc numerator _P: no certificate, Euclid over Q decides
-@example(Poly([1, 0, _P]), Poly.one(), False)
-@example(Poly([1, _P]), Poly([F(1, 3), _P]), True)
-# x^2 + _P is x^2 mod _P, so the images are not coprime: Euclid over Q decides
-@example(Poly([_P, 0, 1]), Poly.one(), False)
+# lc numerator P
+@example(Poly([1, 0, P]), Poly.one(), False)
+@example(Poly([1, P]), Poly([F(1, 3), P]), True)
+# a constant term far above the leading one
+@example(Poly([P, 0, 1]), Poly.one(), False)
 def test_squarefree_against_sympy(f, h, repeat):
     if repeat:
         f = f * h**2
