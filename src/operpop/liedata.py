@@ -13,11 +13,13 @@ Conventions (fixed once, used everywhere):
   the generating reflections; two words are compared through their action
   on rho = (1, ..., 1).
 * One breadth-first orbit walk on integer coordinates serves W (the orbit
-  of rho) and the cell table (the shifted orbit of the base degrees).  Both
-  orbits are free, so each point is reached once, by a shortest word, and
-  both walks yield the same words in the same order.  The length of an
-  element is the number of simple descents (reflect in any node with a
-  negative coordinate) that bring its image of rho back to rho.
+  of rho), the cell table (the shifted orbit of the base degrees) and the
+  population exploration, whose step descends and returns None, no edge,
+  when the descent fails.  Both orbits are free, so each point is reached
+  once, by a shortest word, and both walks yield the same words in the
+  same order.  The length of an element is the number of simple descents
+  (reflect in any node with a negative coordinate) that bring its image of
+  rho back to rho.
 """
 
 from __future__ import annotations
@@ -253,7 +255,8 @@ def weyl_length(word: WeylWord, c: CartanData) -> int:
 
 def _orbit(start: tuple, step: Callable[[int, tuple], tuple], rank: int) -> Iterator[tuple[tuple, tuple]]:
     """(point, word) over the orbit of `start` under step(i, .), i in 1..rank,
-    breadth first: each point once, by a shortest word (letters act on the left)."""
+    breadth first: each point once, by a shortest word (letters act on the left).
+    A step that returns None is no edge."""
     seen = {start}
     frontier = [(start, ())]
     yield start, ()
@@ -262,7 +265,7 @@ def _orbit(start: tuple, step: Callable[[int, tuple], tuple], rank: int) -> Iter
         for point, word in frontier:
             for i in range(1, rank + 1):
                 image = step(i, point)
-                if image not in seen:
+                if image is not None and image not in seen:
                     seen.add(image)
                     nxt.append((image, (i,) + word))
                     yield nxt[-1]

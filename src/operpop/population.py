@@ -16,6 +16,12 @@ same `wronskian_partner` solve that decides fertility.
 `explore` walks the population of a seed by canonical descents, only into
 new cells (the shifted reflection s_i predicts where a descent lands), and
 keeps one sample tuple per cell, labelled by its shifted Weyl orbit word.
+The walk is `liedata._orbit` with a step that descends, so from the
+dominant cell, as every constant seed is, its breadth-first words are the
+labels.  From any other seed, or once a descent has failed (its edge is
+missing, so a cell may be reached by a longer word), the labels come from a
+second walk, `cell_words` from the dominant point, stopped once every
+reached cell is labelled.
 When the canonical member of a family is not generic, a deterministic scan
 over small integer parameters picks a generic member of the same degree so
 exploration can continue.
@@ -51,9 +57,9 @@ looked up.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Optional, Sequence
 
 from .exactalg import Poly, _primitive, squarefree, wronskian, wronskian_partner
@@ -66,7 +72,7 @@ from .critical import (
     is_generic,
     wronskian_rhs,
 )
-from .liedata import CellError, cell_words, shifted_reflect_degrees, weight_at_infinity
+from .liedata import CellError, _orbit, cell_words, shifted_reflect_degrees, weight_at_infinity
 
 
 class ReproductionError(ValueError):
@@ -308,20 +314,21 @@ def _dominant_degrees(l: tuple[int, ...], deg_t: Sequence[int], p: ProblemData) 
 def explore(seed: PolyTuple, p: ProblemData, max_cells: Optional[int] = None) -> PopulationSummary:
     """Breadth-first closure of the population over canonical descents.
 
-    Each degree vector is expanded once, into the directions whose shifted
-    reflection is a new degree vector, so the walk stays in the finite
-    shifted Weyl orbit of the seed degrees; it stops at `max_cells` cells.
+    The walk is `liedata._orbit` on the degree vectors.  Each is expanded
+    once, into the directions whose shifted reflection is a new degree
+    vector, so it stays in the finite shifted Weyl orbit of the seed
+    degrees; it stops at `max_cells` cells, with no descent past the last.
     Samples are generic members whenever the family has one among the
     scanned parameters.  A descent from a generic sample is solved once per
     distinct (i, y_i, linked y_j) for the length of the call (the second
-    lemma of the module docstring).  Cells are labeled by the Weyl word
-    reproducing their degree vector from the dominant point of the seed's
-    shifted orbit.
+    lemma of the module docstring).  Cells are labeled by the shortest Weyl
+    word reproducing their degree vector from the dominant point of the
+    seed's shifted orbit: the walk's own word when the seed is that point
+    and no descent failed, else the word of the label walk `cell_words`.
     """
     seed_report = is_generic(seed, p)
     if not seed_report:
         raise ExplorationError(f"seed is not generic: {seed_report.reason}")
-    limit = float("inf") if max_cells is None else max_cells
     deg_t = [t.degree() for t in p.T]
     base_degrees = _dominant_degrees(seed.degrees, deg_t, p)
     a = p.cartan.a
@@ -331,55 +338,43 @@ def explore(seed: PolyTuple, p: ProblemData, max_cells: Optional[int] = None) ->
     # (i, y_i, linked y_j) of a generic sample -> (new entry, canonical ok,
     # member generic), or the message of a failed descent
     outcomes: dict[tuple, object] = {}
-    queue = deque([seed.degrees])
     exceptional: list[str] = []
-    while queue and len(seen) < limit:
-        key = queue.popleft()
-        sample, jumps, sample_generic = seen[key]
-        for i in range(1, p.rank + 1):
-            ckey = shifted_reflect_degrees(i, key, deg_t, p.cartan)
-            if ckey in seen:
-                continue
-            if sample_generic:
-                descent = (i, sample[i - 1], *[sample[j] for j in linked[i - 1]])
-                if (outcome := outcomes.get(descent)) is None:
-                    outcome = outcomes[descent] = _descent(sample, i, p, True, key, ckey)
-            else:
-                outcome = _descent(sample, i, p, False, key, ckey)
-            if isinstance(outcome, str):
-                exceptional.append(f"{key} direction {i}: {outcome}")
-                continue
-            entry, canonical_ok, member_generic = outcome
-            if not canonical_ok:
-                exceptional.append(f"{key} direction {i}: canonical member not generic")
-            jump = 1 if ckey[i - 1] > key[i - 1] else 0
-            seen[ckey] = (sample.replace(i, entry), jumps + jump, member_generic)
-            queue.append(ckey)
-            if len(seen) >= limit:
-                break
+    dropped = False
 
-    labels = {}
-    for degs, word in cell_words(base_degrees, p.weights, p.cartan):
-        if degs in seen:
-            labels[degs] = word
-            if len(labels) == len(seen):  # the rest of W labels no reached cell
-                break
-    cells = {}
-    for degs, (sample, jumps, _) in seen.items():
-        word = labels[degs]
-        cells[degs] = Cell(
-            degrees=degs,
-            word=word,
-            dimension=len(word),
-            sample=sample,
-            degree_jumps=jumps,
-        )
-    return PopulationSummary(
-        problem=p,
-        base_degrees=base_degrees,
-        cells=cells,
-        exceptional=tuple(exceptional),
-    )
+    def step(i: int, key: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+        nonlocal dropped
+        ckey = shifted_reflect_degrees(i, key, deg_t, p.cartan)
+        if ckey in seen:
+            return ckey
+        sample, jumps, sample_generic = seen[key]
+        if sample_generic:
+            descent = (i, sample[i - 1], *[sample[j] for j in linked[i - 1]])
+            if (outcome := outcomes.get(descent)) is None:
+                outcome = outcomes[descent] = _descent(sample, i, p, True, key, ckey)
+        else:
+            outcome = _descent(sample, i, p, False, key, ckey)
+        if isinstance(outcome, str):
+            exceptional.append(f"{key} direction {i}: {outcome}")
+            dropped = True
+            return None
+        entry, canonical_ok, member_generic = outcome
+        if not canonical_ok:
+            exceptional.append(f"{key} direction {i}: canonical member not generic")
+        jump = 1 if ckey[i - 1] > key[i - 1] else 0
+        seen[ckey] = (sample.replace(i, entry), jumps + jump, member_generic)
+        return ckey
+
+    words = dict(islice(_orbit(seed.degrees, step, p.rank), max_cells))
+    if dropped or seed.degrees != base_degrees:
+        # the walk's words are shortest only from the dominant point over all edges
+        words = {}
+        for degs, word in cell_words(base_degrees, p.weights, p.cartan):
+            if degs in seen:
+                words[degs] = word
+                if len(words) == len(seen):  # the rest of W labels no reached cell
+                    break
+    cells = {d: Cell(d, words[d], len(words[d]), sample, jumps) for d, (sample, jumps, _) in seen.items()}
+    return PopulationSummary(p, base_degrees, cells, tuple(exceptional))
 
 
 def _descent(sample: PolyTuple, i: int, p: ProblemData, sample_generic: bool, key: tuple, ckey: tuple):

@@ -1,5 +1,5 @@
 import random
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction as F
 from functools import lru_cache
 
@@ -9,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 from operpop.liedata import (
     CellError,
     _invert_integer_matrix,
+    _orbit,
     cartan_data,
     cell_words,
     degrees_for,
     langlands_dual,
+    reflect,
     shifted_action,
     shifted_reflect_degrees,
     weight,
@@ -291,6 +293,59 @@ class TestShiftedOrbit:
         ws = [weight(w) for w in weights]
         table = {degrees_for(w, ws, (0,) * rank, c): w for w in weyl_elements(c)}
         assert list(cell_words((0,) * rank, ws, c)) == list(table.items())
+
+
+def _bfs(start, step, rank):
+    """(point, word) by a plain queue over the edges step(i, point) that are not None."""
+    words = {start: ()}
+    queue = deque([start])
+    while queue:
+        point = queue.popleft()
+        for i in range(1, rank + 1):
+            image = step(i, point)
+            if image is not None and image not in words:
+                words[image] = (i,) + words[point]
+                queue.append(image)
+    return list(words.items())
+
+
+class TestOrbit:
+    def test_a2_without_the_first_edge(self):
+        c = cartan_data("A", 2)
+        rho = (1, 1)
+
+        def step(i, m):
+            return None if (i, m) == (1, rho) else reflect(i, m, c)
+
+        words = [w for _, w in _orbit(rho, step, 2)]
+        assert words == [(), (2,), (1, 2), (2, 1, 2), (1, 2, 1, 2), (2, 1, 2, 1, 2)]
+
+    @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("G", 2)])
+    def test_none_is_no_edge(self, family, rank):
+        # drop the edge out of m in direction i when sum(m) + i = 0 mod 3:
+        # some points are then unreachable, others reached by longer words
+        c = cartan_data(family, rank)
+        rho = (1,) * rank
+
+        def step(i, m):
+            return None if (sum(m) + i) % 3 == 0 else reflect(i, m, c)
+
+        walked = list(_orbit(rho, step, rank))
+        assert walked == _bfs(rho, step, rank)
+        assert 1 < len({m for m, _ in walked}) == len(walked) < weyl_order(c)
+        for m, w in walked:
+            assert weyl_action(w, rho, c) == m
+
+    @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("G", 2)])
+    def test_weyl_elements_and_cell_words_unchanged(self, family, rank):
+        c = cartan_data(family, rank)
+        rho = (1,) * rank
+        assert list(weyl_elements(c)) == [w for _, w in _bfs(rho, lambda i, m: reflect(i, m, c), rank)]
+        ws = [weight([1] + [0] * (rank - 1))]
+        deg_t = [1] + [0] * (rank - 1)
+        table = _bfs((0,) * rank, lambda i, l: shifted_reflect_degrees(i, l, deg_t, c), rank)
+        assert list(cell_words((0,) * rank, ws, c)) == table
+        assert len(table) == weyl_order(c)
 
 
 class TestWordEquality:

@@ -406,17 +406,41 @@ class TestExplore:
 
     def test_label_walk_stops_at_the_reached_cells(self, monkeypatch):
         # the label walk calls liedata's shifted_reflect_degrees once per
-        # point and letter; over all of W that is |W| * rank = 311040 on E6
+        # point and letter; from the dominant cell the exploration's words
+        # are the labels, so it does not run at all
         points = []
 
         def counting(i, l, deg_t, c):
             points.append(l)
             return shifted_reflect_degrees(i, l, deg_t, c)
 
+        p, seed = _a2_top_sample()
         monkeypatch.setattr(liedata, "shifted_reflect_degrees", counting)
-        summary = explore(PolyTuple.constants(6), problem("E", 6), max_cells=10)
-        assert len(summary) == 10
-        assert 0 < len(points) <= 100
+        assert len(explore(PolyTuple.constants(6), problem("E", 6), max_cells=10)) == 10
+        assert points == []
+        # from a non-dominant seed it runs, and stops before it has walked
+        # all of W (|W| * rank = 12 calls on A2)
+        assert len(explore(seed, p, max_cells=3)) == 3
+        assert 0 < len(points) < 12
+
+    def test_dropped_descent_from_a_dominant_seed_keeps_shortest_words(self, monkeypatch):
+        # with the edge (0, 0) -> s_1 gone the walk reaches s_1 last, by the
+        # word (2, 1, 2, 1, 2); the label walk gives it (1,)
+        p = problem("A", 2)
+        descent = population._descent
+
+        def failing(sample, i, p, sample_generic, key, ckey):
+            if key == (0, 0) and i == 1:
+                return "dropped"
+            return descent(sample, i, p, sample_generic, key, ckey)
+
+        monkeypatch.setattr(population, "_descent", failing)
+        summary = explore(PolyTuple.constants(2), p)
+        assert len(summary) == 6
+        assert summary.exceptional[0] == "(0, 0) direction 1: dropped"
+        for cell in summary.cells.values():
+            assert cell.word == cell_of(cell.sample, summary.base_degrees, p)
+            assert cell.dimension == weyl_length(cell.word, p.cartan)
 
 
 class TestCellOf:

@@ -110,6 +110,7 @@ def corruptions(rep):
         (r"\[H_\d, F_2\]", {"F": _replaced(rep.F, 1, tuple(sorted((((a + 1) % rep.dim, b, s),) + rest)))}),
         (r"\[E_1, F_1\]", {"E": _replaced(rep.E, 0, rep.E[0][1:])}),
         (r"\[H_1, F_\d\]", {"H": _replaced(rep.H, 0, (H[0] + 1,) + H[1:])}),
+        (r"\[H_1, F_1\]", {"F": _replaced(rep.F, 0, tuple(sorted(rep.F[0] + ((a, a, 1),))))}),
         ("coweight pairing", {"coweights": _replaced(rep.coweights, 0, (w[0] + 1,) + w[1:])}),
         ("lowest weight vector", {"lowest": 0}),
     ]
@@ -118,8 +119,8 @@ def corruptions(rep):
 @pytest.mark.parametrize("family, rank", [("D", 4), ("B", 2)])
 def test_validation_rejects_a_corrupted_rep(family, rank):
     # one F_2 value doubled, one F_2 entry moved a row down, one E_1 entry
-    # dropped, H_1 and w_1 bumped at the highest weight, the lowest vector
-    # moved to the highest
+    # dropped, H_1 and w_1 bumped at the highest weight, a diagonal entry
+    # added to F_1 (not nilpotent), the lowest vector moved to the highest
     import dataclasses
 
     rep = rep_minuscule(family, rank)
