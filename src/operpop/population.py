@@ -22,9 +22,10 @@ labels.  From any other seed, or once a descent has failed (its edge is
 missing, so a cell may be reached by a longer word), the labels come from a
 second walk, `cell_words` from the dominant point, stopped once every
 reached cell is labelled.
-When the canonical member of a family is not generic, a deterministic scan
-over small integer parameters picks a generic member of the same degree so
-exploration can continue.
+When the canonical member of a family is not generic and the descent
+raises the degree, a deterministic scan over small integer parameters picks
+a generic member so exploration can continue; on a lowering descent the
+canonical member stays, and the child is flagged non-generic.
 
 Genericity of a child is decided from what the descent changed.  Lemma: let
 y be generic and let y' be y with y_i replaced by a family member
@@ -45,11 +46,11 @@ it is generic, and the fallback member taken otherwise) depends only on i,
 y_i and the y_j with a_ij != 0.  Proof: ~y solves W(y_i, ~y) = T_i
 prod_{j != i} y_j^(-a_ij), whose factors are T_i and the linked y_j.  By the
 lemma above a member c1 ~y + c2 y_i is generic iff it is squarefree, and
-the fallback scan compares the member's degree vector, which differs from
-that of y only at i.  So the samples of two cells that agree at i and at
-the nodes linked to i descend alike in direction i.  That happens for every
-a_ik = 0: s_k changes only y_k, so the i-descents of w and of s_k w, which
-reach the cells of s_i w and s_i s_k w = s_k s_i w, are one solve.
+whether the fallback scan runs depends on deg ~y and deg y_i, both fixed by
+the key.  So the samples of two cells that agree at i and at the nodes
+linked to i descend alike in direction i.  That happens for every a_ik = 0:
+s_k changes only y_k, so the i-descents of w and of s_k w, which reach the
+cells of s_i w and s_i s_k w = s_k s_i w, are one solve.
 `explore` keeps the outcomes of one call by that key; a non-generic sample
 is decided by the full `is_generic`, which reads every entry, and is never
 looked up.
@@ -105,11 +106,7 @@ class DescendantFamily:
 
 
 def descend_family(y: PolyTuple, i: int, p: ProblemData) -> DescendantFamily:
-    return _family(y, i, fertility_direction(y, i, p))
-
-
-def _family(y: PolyTuple, i: int, tilde: Optional[Poly]) -> DescendantFamily:
-    if tilde is None:
+    if (tilde := fertility_direction(y, i, p)) is None:
         raise ReproductionError(f"tuple is not fertile in direction {i}")
     return DescendantFamily(base=y, direction=i, canonical=tilde)
 
@@ -256,38 +253,6 @@ class PopulationSummary:
 _FALLBACK_PARAMETERS = tuple(Fraction(c) for c in (1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6))
 
 
-def _generic_member(
-    family: DescendantFamily, p: ProblemData, base_generic: bool
-) -> tuple[PolyTuple, bool, bool]:
-    """Canonical member if generic, else a same-degree generic member.
-
-    Returns (sample, canonical_was_generic, sample_is_generic).  Falls back
-    to the canonical member when no scanned parameter is generic.  When
-    `base_generic` says the family's base is generic, a member is generic
-    iff its new entry is squarefree (the lemma of the module docstring:
-    any common root x0 of the new entry with T_i or a linked y_j would make
-    W(y_i, new)(x0) = y_i(x0) new'(x0) vanish, which genericity of the base
-    and squarefreeness of the new entry rule out); otherwise the full
-    `is_generic` decides.
-    """
-    i = family.direction
-
-    def generic(member: PolyTuple) -> bool:
-        return squarefree(member[i - 1]) if base_generic else bool(is_generic(member, p))
-
-    canonical = family.member(1, 0)
-    if generic(canonical):
-        return canonical, True, True
-    want = canonical.degrees
-    for c2 in _FALLBACK_PARAMETERS:
-        member = family.member(1, c2)
-        if member.degrees != want:
-            continue
-        if generic(member):
-            return member, False, True
-    return canonical, False, False
-
-
 def _dominant_degrees(l: tuple[int, ...], deg_t: Sequence[int], p: ProblemData) -> tuple[int, ...]:
     """The degree vector of the shifted orbit of l whose weight at infinity
     is dominant: the base of the cell labels.
@@ -379,16 +344,35 @@ def explore(seed: PolyTuple, p: ProblemData, max_cells: Optional[int] = None) ->
 
 def _descent(sample: PolyTuple, i: int, p: ProblemData, sample_generic: bool, key: tuple, ckey: tuple):
     """(new entry, canonical member generic, new sample generic) of the
-    descent from `sample` in direction i, or the message of its failure."""
+    descent from `sample` in direction i, or the message of its failure.
+
+    The entry is the partner u if it is generic, else the first generic
+    u + c y_i over `_FALLBACK_PARAMETERS`, scanned only if the descent
+    raises the degree: only then does a member have the degree of u.
+    Proof: (u // y_i)(0) = 0, so deg u != deg y_i (else u // y_i would be
+    a nonzero constant).  So every u + c y_i has degree deg u when
+    deg u > deg y_i, and degree deg y_i != deg u otherwise.
+    """
     solve = canonical_partner if sample_generic else fertility_direction
     try:
-        family = _family(sample, i, solve(sample, i, p))
-    except (FertilityError, ReproductionError) as exc:
+        u = solve(sample, i, p)
+    except FertilityError as exc:
         return str(exc)
-    if (degree := family.canonical.degree()) != ckey[i - 1]:
+    if u is None:
+        return f"tuple is not fertile in direction {i}"
+    if (degree := u.degree()) != ckey[i - 1]:
         raise ExplorationError(f"{key} direction {i}: degree {degree}, s_i predicts {ckey[i - 1]}")
-    member, canonical_ok, member_generic = _generic_member(family, p, sample_generic)
-    return member[i - 1], canonical_ok, member_generic
+
+    def generic(entry: Poly) -> bool:  # squarefree suffices by the first lemma
+        return squarefree(entry) if sample_generic else bool(is_generic(sample.replace(i, entry), p))
+
+    if generic(u):
+        return u, True, True
+    if degree > key[i - 1]:  # u + c y_i is monic: deg u > deg y_i
+        for c in _FALLBACK_PARAMETERS:
+            if generic(entry := u + sample[i - 1] * c):
+                return entry, False, True
+    return u, False, False
 
 
 def cell_of(y: PolyTuple, base_degrees: Sequence[int], p: ProblemData) -> tuple[int, ...]:

@@ -136,8 +136,10 @@ class TestCalibratedSequence:
         assert wronskian_partner(X**2, Poly.one()) is None
 
 
-def _generic_member_by_full_check(family, p, base_generic):
-    """`population._generic_member` with the full `is_generic` on every member."""
+def _generic_member_by_full_check(family, p):
+    """A generic member of the family, the canonical one first, else one of
+    the fallback parameters with the canonical degrees; the full
+    `is_generic` decides every member."""
     canonical = family.member(1, 0)
     if is_generic(canonical, p):
         return canonical, True, True
@@ -168,14 +170,13 @@ def _explore_reference(seed, p, descents=None):
             if descents is not None:
                 linked = [sample[j - 1] for j in range(1, p.rank + 1) if j != i and p.cartan.a[i - 1][j - 1]]
                 descents.append((i, sample[i - 1], *linked) if sample_generic else object())
-            solve = population.canonical_partner if sample_generic else population.fertility_direction
             try:
-                family = population._family(sample, i, solve(sample, i, p))
+                family = descend_family(sample, i, p)
             except (FertilityError, ReproductionError) as exc:
                 exceptional.append(f"{key} direction {i}: {exc}")
                 continue
             assert family.canonical.degree() == ckey[i - 1]
-            member, canonical_ok, member_generic = population._generic_member(family, p, sample_generic)
+            member, canonical_ok, member_generic = _generic_member_by_full_check(family, p)
             if not canonical_ok:
                 exceptional.append(f"{key} direction {i}: canonical member not generic")
             jump = 1 if ckey[i - 1] > key[i - 1] else 0
@@ -295,8 +296,7 @@ class TestExplore:
         p = problem(family, rank, weights, points)
         seed = PolyTuple.constants(rank)
         fast = explore(seed, p)
-        monkeypatch.setattr(population, "_generic_member", _generic_member_by_full_check)
-        reference = explore(seed, p)
+        reference = _explore_reference(seed, p)
         assert fast.exceptional == reference.exceptional
         assert {k: c.sample for k, c in fast.cells.items()} == {k: c.sample for k, c in reference.cells.items()}
 
@@ -391,6 +391,23 @@ class TestExplore:
         summary = explore(PolyTuple.constants(2), problem("B", 2))
         assert summary.exceptional
         assert len(summary) == 8
+
+    def test_non_generic_canonical_member_of_a_lowering_descent_is_kept(self, monkeypatch):
+        # the first squarefree test is of the canonical degree-2 entry of the
+        # descent from (4, 4) in direction 1; a member u + c y_1 has degree
+        # 4, not that of the cell (2, 4), so none may replace it
+        p, seed = _a2_top_sample()
+        calls = []
+
+        def first_fails(f):
+            calls.append(f)
+            return len(calls) > 1 and squarefree(f)
+
+        monkeypatch.setattr(population, "squarefree", first_fails)
+        summary = explore(seed, p)
+        assert calls[0].degree() == 2
+        assert "(4, 4) direction 1: canonical member not generic" in summary.exceptional
+        assert all(cell.sample.degrees == key for key, cell in summary.cells.items())
 
     @pytest.mark.parametrize("name", ["B2", "G2", "A3"])
     def test_max_cells_is_exact(self, name):

@@ -1,5 +1,5 @@
-"""Engine-independent oracles: sympy checks the exact polynomial layer and
-the representations.
+"""Engine-independent oracles: sympy checks the exact polynomial layer,
+the representations and the criticality of population samples.
 
 The expected values are computed in sympy alone (its own ring operations,
 gcd, derivative, division, cancellation, rational integration and matrix
@@ -7,6 +7,7 @@ products); the engine's answers are only converted to sympy for the
 comparison.
 """
 
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from sympy.integrals.rationaltools import ratint
 
 from conftest import sympy_diag, sympy_matrix
+from operpop.cli import main
 from operpop.exactalg import Poly, RatFunc, poly_gcd, squarefree, wronskian, wronskian_partner
 from operpop.liedata import cartan_data, langlands_dual
 from operpop.solutions import rep_minuscule
@@ -200,3 +202,42 @@ def test_minuscule_rep_satisfies_the_dual_chevalley_relations(family, rank):
             delta_H = H[i] if i == j else sympy.zeros(n)
             assert E_mats[i] * F_mats[j] - F_mats[j] * E_mats[i] == delta_H
             assert H[i] * F_mats[j] - F_mats[j] * H[i] == -C[i][j] * F_mats[j]
+
+
+# Cartan matrices a_ij = <alpha_j, alpha_i^vee> in the Bourbaki labelling
+# (the short root of B2 and the long root of C3 last), weights at 0 and 1,
+# and |W|.
+BETHE_CORPUS = {
+    "B2": ("B", [[2, -1], [-2, 2]], [[1, 0], [0, 1]], 8),
+    "G2": ("G", [[2, -3], [-1, 2]], [[1, 0], [0, 1]], 12),
+    "A3": ("A", [[2, -1, 0], [-1, 2, -1], [0, -1, 2]], [[1, 0, 0], [0, 0, 1]], 24),
+    "C3": ("C", [[2, -1, 0], [-1, 2, -2], [0, -1, 2]], [[1, 0, 0], [0, 0, 1]], 48),
+    "D4": ("D", [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]], [], 192),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BETHE_CORPUS))
+def test_population_samples_satisfy_the_bethe_divisibility(name, tmp_path, capsys):
+    # a root t of y_i is critical iff 2 sum_{u != t} 1/(t - u) = y_i''(t)/y_i'(t)
+    # equals -W_i'(t)/W_i(t), W_i = T_i prod_{j != i} y_j^(-a_ij): y_i must
+    # divide y_i'' W_i - y_i' W_i'
+    family, a, weights, order = BETHE_CORPUS[name]
+    rank = len(a)
+    points = ["0", "1"][: len(weights)]
+    doc = {"lie_type": family, "rank": rank, "weights": weights, "points": points, "tuple": [["1"]] * rank}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    assert main(["populate", str(path)]) == 0
+    cells = json.loads(capsys.readouterr().out)["cells"]
+    assert len(cells) == order
+    for cell in cells:
+        y = [sympy.Poly([sympy.Rational(c) for c in reversed(coeffs)], x, domain="QQ") for coeffs in cell["sample"]]
+        for i in range(rank):
+            W = sympy.Poly(1, x, domain="QQ")
+            for w, z in zip(weights, points):
+                W = W * sympy.Poly(x - sympy.Rational(z), x, domain="QQ") ** w[i]
+            for j in range(rank):
+                if j != i and a[i][j]:
+                    W = W * y[j] ** -a[i][j]
+            residue = y[i].diff(x).diff(x) * W - y[i].diff(x) * W.diff(x)
+            assert residue.rem(y[i]).is_zero, (cell["degrees"], i + 1)
