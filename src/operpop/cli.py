@@ -36,6 +36,7 @@ import functools
 import json
 import os
 import re
+import stat
 import sys
 import time
 from fractions import Fraction
@@ -360,8 +361,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = build_parser().parse_args(argv)
         report["command"] = args.command
         if args.output:
-            try:  # append mode: the problem file may be the report path; _emit truncates
-                output = open(args.output, "a", encoding="utf-8")
+            try:  # not truncated: the problem file may be the report path; _emit cuts it
+                output = os.fdopen(os.open(args.output, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8")
             except OSError as exc:
                 raise InputError(f"cannot open --output: {exc}") from exc
         p, y, extras = _request(args)
@@ -401,9 +402,10 @@ def _emit(report: dict, output: Optional[TextIO], started: float) -> None:
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
     else:
-        with output:
-            output.truncate(0)
+        with output:  # written from offset 0; a regular file is cut at the report's end
             output.write(text + "\n")
+            if stat.S_ISREG(os.fstat(output.fileno()).st_mode):
+                output.truncate()
 
 
 if __name__ == "__main__":

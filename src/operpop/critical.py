@@ -144,7 +144,8 @@ def build_T(p: ProblemData) -> list[Poly]:
     for i in range(p.rank):
         t = Poly.one()
         for w, z in zip(p.weights, p.points):
-            t = t * Poly([-z, 1]) ** int(w[i])
+            if w[i]:
+                t = t * Poly([-z, 1]) ** int(w[i])
         out.append(t)
     return out
 

@@ -38,6 +38,17 @@ and q(xi) divides gamma.  Hence:
   |c| <= xi/2, q is constant and h.monic() is the monic gcd;
 * if h fails the trial division (an unlucky xi), Euclid over Q decides.
 
+The same bound decides polynomial identities without expanding them
+(`_identity_holds`).  A nonzero R in Z[x] has every root z of modulus
+|z| < 1 + ||R||_inf / |lc R| <= 1 + ||R||_inf, as |lc R| >= 1.  So for any
+B >= ||R||_inf and any 2^k > B + 1, R = 0 iff R(2^k) = 0: one integer
+evaluation per factor and a few big-integer products decide R = 0.  An
+identity that is a sum of products of polynomials over Q and int
+constants, with one factor from each of a fixed set of groups in every
+term, becomes one in Z[x] when each group is scaled by the lcm of its
+denominators, and the same sum of products taken on the factors' 1-norms,
+every sign read as + and every constant by its modulus, is such a B.
+
 Euclid over Q runs through `divmod`, keeping the primitive part of each
 remainder (a primitive remainder sequence), so every answer is the exact
 monic gcd (Brown 1971; von zur Gathen & Gerhard, Modern Computer Algebra,
@@ -53,8 +64,8 @@ Everything here is pure value arithmetic; no floats, no global state.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from math import gcd, lcm
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 Scalar = Fraction
 ScalarLike = Union[int, str, Fraction]
@@ -385,6 +396,62 @@ def _value_at_power_of_two(nums: list[int], k: int) -> int:
     for c in reversed(nums):
         acc = (acc << k) + c
     return acc
+
+
+Stored = tuple[list[int], int]  # integer numerators (ascending) over a positive denominator
+
+
+def _stored(p: Poly, derivative: bool = False, scale: ScalarLike = 1) -> Stored:
+    """scale * p, or scale * p' as [k a_k] over the denominator of p, as
+    numerators and a denominator (not normalized)."""
+    a = p._num
+    if derivative:
+        a = [k * a[k] for k in range(1, len(a))]
+    if scale == 1:
+        return a, p._den
+    s = as_scalar(scale)
+    return [s.numerator * c for c in a], p._den * s.denominator
+
+
+class _Norm(int):
+    """A bound on a 1-norm: sums and differences of bounds add, products
+    multiply and an int factor counts by its modulus, so a formula over
+    polynomials run on its factors' 1-norms bounds its value's 1-norm."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return _Norm(int(self) + abs(other))
+
+    __radd__ = __sub__ = __rsub__ = __add__
+
+    def __mul__(self, other):
+        return _Norm(int(self) * abs(other))
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self
+
+
+def _identity_holds(formula: Callable[..., list], groups: Sequence[Sequence[Stored]]) -> bool:
+    """True iff every entry of formula(*groups) is the zero polynomial,
+    decided at one x = 2^k (the identity route of the module docstring).
+
+    `formula` takes one list of values per group, one value per `_stored`
+    pair, and returns entries that are sums of products with exactly one
+    factor from every group and int constants.  Each group is scaled to
+    one integer denominator, and the formula on the factors' 1-norms
+    (`_Norm`) bounds every entry's norm.
+    """
+    scaled = []
+    for group in groups:
+        m = lcm(*(den for _, den in group))
+        scaled.append([(nums, m // den) for nums, den in group])
+    bound = max(formula(*[[_Norm(s * sum(map(abs, nums))) for nums, s in g] for g in scaled]), default=0)
+    k = (bound + 1).bit_length()  # 2^k > bound + 1
+    values = [[s * _value_at_power_of_two(nums, k) for nums, s in g] for g in scaled]
+    return not any(formula(*values))
 
 
 def _balanced_digits(n: int, k: int) -> list[int]:

@@ -13,7 +13,11 @@ identity
     (sum_j a_ij num_j prod_{k != j} den_k) W_i y_i
         = (2 y_i' W_i - W_i' y_i) prod_k den_k,
 
-over the j and k with a_ij != 0 and a_ik != 0.
+over the j and k with a_ij != 0 and a_ik != 0.  Every term has one factor
+from each of {num_j, den_j} (for each linked j), {W_i, W_i'} and
+{y_i, y_i'}, so the identity is decided by the identity route of
+`exactalg`, at one x = 2^k above the bound the same sum gives on 1-norms,
+without expanding a product.
 
 Deforming in direction i adds a rational Riccati solution g to c_i; the
 only such g are logarithmic derivatives of descendant ratios, which is
@@ -31,11 +35,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from operator import mul
+from functools import partial
+from math import prod
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
-from .exactalg import Poly, RatFunc, log_derivative
+from .exactalg import Poly, RatFunc, _identity_holds, _stored, log_derivative
 from .critical import PolyTuple, ProblemData, fertility_direction, wronskian_rhs
 from .liedata import CartanData, langlands_dual
 from .population import ReproductionPath
@@ -83,16 +87,22 @@ def miura_from_tuple(y: PolyTuple, p: ProblemData) -> MiuraOper:
     for i in range(1, r + 1):
         # the cross-multiplied pairing identity of the module docstring
         links = [(a, coords[j]) for j, a in enumerate(p.cartan.a[i - 1]) if a]
-        dens = [c.den for _, c in links]
-        lhs = sum((c.num * a * _product(dens[:k] + dens[k + 1 :]) for k, (a, c) in enumerate(links)), Poly.zero())
         W, yi = wronskian_rhs(y, i, p), y[i - 1]
-        if lhs * W * yi != (yi.derivative() * W * 2 - W.derivative() * yi) * _product(dens):
+        groups = [[_stored(c.num), _stored(c.den)] for _, c in links]
+        groups += [[_stored(W), _stored(W, True)], [_stored(yi), _stored(yi, True)]]
+        if not _identity_holds(partial(_pairing_residual, [a for a, _ in links]), groups):
             raise AssertionError(f"oper pairing invariant failed in direction {i}")
     return MiuraOper(dual=langlands_dual(p.cartan), h_coords=coords, provenance=(y, p))
 
 
-def _product(polys: Sequence[Poly]) -> Poly:
-    return reduce(mul, polys, Poly.one())
+def _pairing_residual(a: list[int], *groups: list) -> list:
+    """[(sum_j a_j num_j prod_{k != j} den_k) W y_i - (2 y_i' W - W' y_i) prod_k den_k]
+    from the groups [num_k, den_k] of the linked coordinates, [W, W'] and
+    [y_i, y_i'], in any domain of `_identity_holds`."""
+    *links, (W, dW), (yi, dyi) = groups
+    dens = [den for _, den in links]
+    lhs = sum(a_j * num * prod(dens[:j] + dens[j + 1 :]) for j, (a_j, (num, _)) in enumerate(zip(a, links)))
+    return [lhs * W * yi - (2 * dyi * W - dW * yi) * prod(dens)]
 
 
 def _h_coordinate(y_j: Poly, T: Sequence[Poly], b_row: Sequence[Fraction]) -> RatFunc:

@@ -20,8 +20,16 @@ col_a, and each changed column is gcd-reduced once; left-multiplying a
 column is v += g M v.  The update checks M^2 = 0 and raises otherwise, so
 it never returns a wrong product, and no builder forms an n x n product.
 
-Every builder re-verifies D Y = 0 before returning, as one polynomial
-identity over Q(x) per column (see apply_miura).  Solution shapes:
+Every builder re-verifies D Y = 0 before returning: it is the polynomial
+identity R_ij = 0 for every entry (see apply_miura).  With L the product
+of the distinct denominators d_s of lambda's terms and of the c_j, every
+term of R_ij has one factor from each of {den_j, den_j'}, {num_ij, num_ij',
+num_bj} and, for each s, {d_s, the numerators over d_s}.  So `_verify`
+decides it by the identity route of `exactalg`: one integer value at
+x = 2^k per factor and a few big-integer products per entry, 2^k above
+the bound that the same residual gives on 1-norms.  The residual
+polynomials are expanded only after a failure, to name the first nonzero
+entry.  Solution shapes:
 
 * any type with a minuscule dual representation: the lowest-weight-vector
   formula exp(g_1 E_i1) ... exp(g_k E_ik) v_low along an arbitrary
@@ -42,11 +50,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property, partial, reduce
+from math import prod
 from operator import mul
 from typing import Optional, Sequence
 
-from .exactalg import Poly, RatFunc, poly_gcd
+from .exactalg import Poly, RatFunc, _identity_holds, _stored, poly_gcd
 from .critical import PolyTuple, ProblemData
 from .liedata import _orbit, cartan_data, langlands_dual, reflect
 from .miura import MiuraOper, TwistContext, TwistedFunc, _canonical, _fold, miura_from_tuple, twist_context
@@ -437,36 +446,87 @@ def apply_miura(D: MiuraOper, rep: MatrixRep, Y: TwistedMatrix) -> TwistedMatrix
     """Y' + (sum_i F_i + sum_j c_j H_j) Y, which is zero iff D Y = 0.
 
     For Y = T^q num/den, (T^q)' = lambda T^q with lambda = sum_l q_l T_l'/T_l.
-    With L the least common denominator of lambda and the c_j and
-    M = sum_i F_i + sum_j c_j H_j, column j of the result is T^q R_j / (L den_j^2)
-    with
+    With L the product of the distinct denominators of the terms of lambda
+    and of the c_j, and M = sum_i F_i + sum_j c_j H_j, column j of the
+    result is T^q R_j / (L den_j^2) with
         R_j = L (num_j' den_j - num_j den_j') + den_j (L lambda + L M) num_j
             = den_j (L num_j' + (L lambda + L M) num_j) - (L den_j') num_j,
-    so D Y = 0 is the polynomial identity R_j = 0 for every column.
-    L lambda + L M is built once, over the nonzero entries of M.
+    so D Y = 0 is the polynomial identity R_j = 0 for every column
+    (`_residuals`, which `_verify` decides without expanding it).
     """
+    groups, layout = _residual_groups(D, rep, Y, _poly_part)
+    R = _residuals(rep.oper_rows, layout, *groups)
+    L, n = prod(g[0] for g in groups[2:]), rep.dim
+    cols = [(R[n * j : n * j + n], L * den * den) for j, (_, den) in enumerate(Y.cols)]
+    return TwistedMatrix.from_columns(Y.ctx, Y.q, cols)
+
+
+def _poly_part(p: Poly, derivative: bool = False, scale=1) -> Poly:
+    """scale * p or scale * p': `exactalg._stored` for the polynomial domain."""
+    return (p.derivative() if derivative else p) * scale
+
+
+def _residual_groups(D: MiuraOper, rep: MatrixRep, Y: TwistedMatrix, part) -> tuple[list[list], tuple]:
+    """The factors of `_residuals` through `part` (`_poly_part` or
+    `exactalg._stored`): [den_j, den_j' for each j], [num_j, then num_j' for
+    each j], and one group per distinct denominator d_s of the terms of
+    lambda and of the c_j: d_s, the q_l T_l' with T_l = d_s and the numerators
+    of the c_j over d_s.  The layout places each term of lambda and each c_j
+    in its group."""
     if rep.dim != Y.shape[0]:
         raise ValueError("representation and solution dimensions differ")
-    T, q = Y.ctx.T, Y.q
-    L = reduce(_lcm, [T[l] for l, e in enumerate(q) if e] + [c.den for c in D.h_coords], Poly.one())
-    L_lambda = sum((T[l].derivative() * (L // T[l]) * e for l, e in enumerate(q) if e), Poly.zero())
-    scalars = [L] + [c.num * (L // c.den) for c in D.h_coords]
-    # row a of L lambda + L M, as (b, entry) over the nonzero entries
+    dens = [x for _, den in Y.cols for x in (part(den), part(den, True))]
+    nums = [x for col, _ in Y.cols for x in [*map(part, col), *(part(v, True) for v in col)]]
+    terms = [(T, e) for T, e in zip(Y.ctx.T, Y.q) if e]
+    denominators = list(dict.fromkeys([T for T, _ in terms] + [c.den for c in D.h_coords]))
+    oper = [[part(d)] for d in denominators]
+
+    def place(d: Poly, x) -> tuple[int, int]:
+        s = denominators.index(d)
+        oper[s].append(x)
+        return s, len(oper[s]) - 1
+
+    lam = [place(T, part(T, True, e)) for T, e in terms]
+    coords = [place(c.den, part(c.num)) for c in D.h_coords]
+    return [dens, nums, *oper], (lam, coords)
+
+
+def _residuals(rows, layout, dens: list, nums: list, *oper: list) -> list:
+    """R_aj = den_j (L num_aj' + sum_b LM_ab num_bj) - (L den_j') num_aj,
+    column by column, LM = L lambda + L M built from the groups of
+    `_residual_groups`: L = prod_s d_s, and each term of lambda or c_j
+    times L is its numerator times the other d_s.  Every term has one factor
+    from each group, in any domain of `_identity_holds`."""
+    lam, coords = layout
+    d = [g[0] for g in oper]
+    L = prod(d)
+
+    def times_L(s: int, t: int):
+        return oper[s][t] * prod(d[:s] + d[s + 1 :])
+
+    scalars = [L] + [times_L(s, t) for s, t in coords]
+    L_lambda = [times_L(s, t) for s, t in lam]
     LM = []
-    for a, row in enumerate(rep.oper_rows):
-        entries = {b: _dot(scalars, coeffs) for b, coeffs in row}
-        if L_lambda:
-            entries[a] = entries.get(a, Poly.zero()) + L_lambda
-        LM.append([(b, lm) for b, lm in entries.items() if lm])
-    columns = []
-    for nums, den in Y.cols:
-        L_dden = L * den.derivative()
-        R = [
-            den * (L * v.derivative() + sum((lm * nums[b] for b, lm in lm_row if nums[b]), Poly.zero())) - L_dden * v
-            for v, lm_row in zip(nums, LM)
-        ]
-        columns.append((R, L * den * den))
-    return TwistedMatrix.from_columns(Y.ctx, q, columns)
+    for a, row in enumerate(rows):
+        entries = {}
+        for b, coeffs in row:
+            terms = [c * x for c, x in zip(coeffs, scalars) if c]
+            entries[b] = sum(terms[1:], terms[0])
+        for x in L_lambda:
+            entries[a] = entries[a] + x if a in entries else x
+        LM.append(entries)
+    n, out = len(rows), []
+    for j in range(len(dens) // 2):
+        den, dden = dens[2 * j], dens[2 * j + 1]
+        col, dcol = nums[2 * n * j : 2 * n * j + n], nums[2 * n * j + n : 2 * n * j + 2 * n]
+        L_dden = L * dden
+        for v, dv, entries in zip(col, dcol, LM):
+            acc = L * dv
+            for b, lm in entries.items():
+                if col[b]:
+                    acc = acc + lm * col[b]
+            out.append(den * acc - L_dden * v)
+    return out
 
 
 def _weight_column(rep: MatrixRep, k: int, entries: Sequence[Poly], up: Poly, down: Poly) -> Column:
@@ -495,11 +555,14 @@ def _weight_diagonal(ctx: TwistContext, rep: MatrixRep, entries: Sequence[Poly])
 
 
 def _verify(D: MiuraOper, rep: MatrixRep, Y: TwistedMatrix, label: str) -> None:
+    """Raise VerificationError unless D Y = 0, decided at one x = 2^k; only a
+    failure expands the residual, to name its first nonzero entry."""
+    groups, layout = _residual_groups(D, rep, Y, _stored)
+    if _identity_holds(partial(_residuals, rep.oper_rows, layout), groups):
+        return
     R = apply_miura(D, rep, Y)
-    bad = [(i, j) for j, (nums, _) in enumerate(R.cols) for i, v in enumerate(nums) if v]
-    if bad:
-        i, j = bad[0]
-        raise VerificationError(f"{label}: D Y != 0 at entry {i, j}: {R.column(j)[i]!r}")
+    i, j = next((i, j) for j, (nums, _) in enumerate(R.cols) for i, v in enumerate(nums) if v)
+    raise VerificationError(f"{label}: D Y != 0 at entry {i, j}: {R.column(j)[i]!r}")
 
 
 def _lowest_weight_columns(

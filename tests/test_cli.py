@@ -468,6 +468,15 @@ class TestReportContract:
         report = json.loads(out.read_text())
         assert report["fertile"] is True
 
+    def test_longer_output_file_is_cut_to_the_report(self, tmp_path, capsys):
+        path = write(tmp_path, "p.json", HALF)
+        out = tmp_path / "report.json"
+        out.write_text("x" * 100000)
+        code = main(["check", path, "--output", str(out)])
+        assert code == 0
+        text = out.read_text()
+        assert text.count("\n") == 1 and json.loads(text)["fertile"] is True
+
     def test_output_may_be_the_problem_file(self, tmp_path, capsys):
         path = write(tmp_path, "p.json", HALF)
         code = main(["check", path, "--output", path])
@@ -555,6 +564,12 @@ class TestEntryPoint:
             stderr = proc.stderr.read().decode()
             proc.wait(timeout=120)
         assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr
+
+    def test_output_to_a_piped_stdout(self, tmp_path):
+        # `operpop check p.json --output /dev/stdout | cat`: a pipe cannot be truncated
+        done = self._run("check", write(tmp_path, "p.json", HALF), "--output", "/dev/stdout")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.count("\n") == 1 and json.loads(done.stdout)["fertile"] is True
 
     def test_small_populate_exits_0(self, tmp_path):
         done = self._run("populate", write(tmp_path, "p.json", A2_N0))

@@ -50,6 +50,12 @@ class TestBuildT:
         p = problem("A", 1, [[2]], [0])
         assert build_T(p) == [Poly([0, 0, 1])]
 
+    def test_weight_with_zero_coordinates(self):
+        # weighted A3: a zero coordinate contributes no factor at its point
+        p = problem("A", 3, [[1, 0, 0], [0, 0, 2]], [F(1, 2), -3])
+        T = [Poly.from_roots([F(1, 2)]), Poly.one(), Poly.from_roots([-3, -3])]
+        assert build_T(p) == T and p.T == tuple(T)
+
 
 class TestIsGeneric:
     def test_half_example(self, half_problem, half_tuple):

@@ -8,7 +8,10 @@ from hypothesis import example, given, settings, strategies as st
 from operpop.exactalg import (
     Poly,
     RatFunc,
+    _Norm,
+    _identity_holds,
     _quotient_constant,
+    _stored,
     integrate_shape,
     log_derivative,
     poly_ext_gcd,
@@ -244,6 +247,51 @@ class TestGcdCertificate:
         assert poly_gcd(g, Poly.zero()) == g.monic()
         assert poly_gcd(Poly.const(F(3, 5)), g) == Poly.one()
         assert poly_gcd(g, Poly.const(P)) == Poly.one()
+
+
+def difference(a, b):
+    """[a_0 b_0 - a_1 b_1]: one factor from each group in every term."""
+    return [a[0] * b[0] - a[1] * b[1]]
+
+
+class TestIdentityByEvaluation:
+    @pytest.mark.parametrize("j", range(6))
+    def test_a_root_at_a_small_power_of_two_is_no_zero(self, j):
+        # (x - 2^j) S vanishes at x = 2^j, so only an x = 2^k above the
+        # bound tells it from zero
+        S = Poly([F(1, 3), -1, 2])
+        f = X - Poly.const(2**j)
+        assert not _identity_holds(lambda a, b: [a[0] * b[0]], [[_stored(f)], [_stored(S)]])
+        assert not _identity_holds(difference, [[_stored(f), _stored(Poly.zero())], [_stored(S), _stored(S)]])
+
+    def test_norms_read_every_sign_as_plus(self):
+        a, b = _Norm(3), _Norm(5)
+        assert [a - b, 2 - a, -2 * a, a * -2, -a, sum([a, b]), a * b] == [8, 5, 6, 6, 3, 8, 15]
+        assert all(type(x) is _Norm for x in [a - b, 2 - a, -2 * a, -a, sum([a, b])])
+
+    def test_groups_scale_to_integers(self):
+        f, g, h = Poly([F(1, 2), F(2, 3)]), Poly([F(-5, 7), 0, 3]), Poly([1, F(1, 11)])
+        groups = [[_stored(f), _stored(f * h)], [_stored(g * h), _stored(g)]]
+        assert _identity_holds(difference, groups)
+
+    def test_stored_derivative_and_scale(self):
+        f = Poly([F(1, 6), F(-3, 4), 0, F(5, 2)])
+        one = [_stored(Poly.one()), _stored(Poly.one())]
+        assert _identity_holds(difference, [[_stored(f, True, 3), _stored(f.derivative() * 3)], one])
+        assert not _identity_holds(difference, [[_stored(f, True, 2), _stored(f.derivative() * 3)], one])
+        assert _identity_holds(difference, [[_stored(f, scale=-2), _stored(f * -2)], one])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.fractions(max_denominator=6), max_size=5).map(Poly),
+        st.lists(st.fractions(max_denominator=6), max_size=5).map(Poly),
+        st.lists(st.fractions(max_denominator=6), min_size=1, max_size=4).map(Poly),
+        st.lists(st.fractions(max_denominator=6), max_size=3).map(Poly),
+    )
+    def test_matches_the_expanded_difference(self, f, g, h, e):
+        # f (g h) - (f h) (g + e) is zero iff f e h is
+        groups = [[_stored(f), _stored(f * h)], [_stored(g * h), _stored(g + e)]]
+        assert _identity_holds(difference, groups) == (f * (g * h) - (f * h) * (g + e)).is_zero()
 
 
 class TestWronskian:

@@ -124,6 +124,28 @@ def test_a_corrupted_coordinate_is_caught(name, request, monkeypatch):
     assert corrupted >= 2
 
 
+@pytest.mark.parametrize("j", [1, 2])
+def test_a_pairing_residual_with_a_root_at_four_is_caught(a2_problem, a2_tuple, monkeypatch, j):
+    # c_j + (x - 4) changes the residual of direction i by a_ij (x - 4) W y_i
+    # times the product of the denominators: nonzero, yet zero at x = 4
+    honest, decide, decisions = miura._h_coordinate, miura._identity_holds, []
+    calls = iter(range(a2_problem.rank))
+
+    def shifted(y_j, T, b_row):
+        c = honest(y_j, T, b_row)
+        return RatFunc(c.num + (X - Poly.const(4)) * c.den, c.den) if next(calls) == j - 1 else c
+
+    def recorded(formula, groups):
+        decisions.append(decide(formula, groups))
+        return decisions[-1]
+
+    monkeypatch.setattr(miura, "_h_coordinate", shifted)
+    monkeypatch.setattr(miura, "_identity_holds", recorded)
+    with pytest.raises(AssertionError, match="oper pairing invariant failed in direction 1"):
+        miura_from_tuple(a2_tuple, a2_problem)
+    assert decisions == [False]
+
+
 class TestRiccati:
     def test_zero_solution(self, half_problem, half_tuple):
         D = miura_from_tuple(half_tuple, half_problem)

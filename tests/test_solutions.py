@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from functools import reduce
+from functools import cache, reduce
 
 import pytest
 import sympy
@@ -589,6 +589,43 @@ def test_an_entry_plus_one_is_caught(name, request, monkeypatch):
         matrix(y, p)
     with pytest.raises(VerificationError, match="D Y != 0"):
         solution_general(y, path[:1], p)
+
+
+@cache
+def builder_outputs():
+    """(D, rep, Y) of the matrix builders on weighted A3 and B2 cell samples
+    and of the general builder along [1, 2] on A3."""
+    out = []
+    for family, rank, weights in [("A", 3, [[1, 0, 0], [0, 0, 1]]), ("B", 2, [[1, 0], [0, 1]])]:
+        p = problem(family, rank, weights, [0, -1])
+        rep = default_rep(p)
+        for cell in list(explore(PolyTuple.constants(rank), p).cells.values())[:6]:
+            D = miura_from_tuple(cell.sample, p)
+            out.append((D, rep, (solution_A if family == "A" else solution_BC)(cell.sample, p)))
+            if family == "A":
+                out.append((D, rep, solutions._lowest_weight_columns(cell.sample, [[1, 2]], p, "general")))
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), c=st.fractions(max_denominator=5), m=st.integers(0, 4))
+def test_verify_raises_exactly_when_the_residual_is_nonzero(data, c, m):
+    # num_ij + c x^m den_j adds c x^m T^q at entry (i, j); c = 0 changes nothing
+    D, rep, Y = data.draw(st.sampled_from(builder_outputs()))
+    j = data.draw(st.integers(0, Y.shape[1] - 1))
+    i = data.draw(st.integers(0, Y.shape[0] - 1))
+    cols = list(Y.cols)
+    nums, den = list(cols[j][0]), cols[j][1]
+    nums[i] = nums[i] + X**m * den * c
+    cols[j] = (nums, den)
+    Y = TwistedMatrix.from_columns(Y.ctx, Y.q, cols)
+    try:
+        solutions._verify(D, rep, Y, "perturbed")
+        raised = False
+    except VerificationError:
+        raised = True
+    assert raised == (not apply_miura(D, rep, Y).is_zero())
+    assert raised == (c != 0)
 
 
 @pytest.mark.parametrize("family, rank, weights", [("A", 3, [[1, 0, 0], [0, 0, 1]]), ("B", 2, [[1, 0], [0, 1]])])

@@ -79,12 +79,13 @@ MUTANTS = (
     Mutant("M10", "cli.py", "if deg_t > MAX_T_DEGREE:", "if deg_t > MAX_T_DEGREE + 1:", ("tests/test_cli.py",)),
     Mutant("rank-bound", "cli.py", "if rank > MAX_RANK:", "if rank > MAX_RANK + 1:", ("tests/test_cli.py",)),
     Mutant(
-        "verify-check", "solutions.py", "    if bad:\n", "    if False:\n",
-        ("tests/test_solutions.py", "tests/test_cli.py"),
+        "verify-check", "solutions.py", "    if _identity_holds(partial(_residuals",
+        "    if True or _identity_holds(partial(_residuals", ("tests/test_solutions.py", "tests/test_cli.py"),
     ),
     Mutant("M13", "critical.py", "            if v in p.points:", "            if False:", ("tests/test_critical.py",)),
     Mutant(
-        "oper-pairing-check", "miura.py", "        if lhs * W * yi != ", "        if False and lhs * W * yi != ",
+        "oper-pairing-check", "miura.py", "        if not _identity_holds(partial(_pairing_residual",
+        "        if False and not _identity_holds(partial(_pairing_residual",
         ("tests/test_miura.py", "tests/test_cli.py"),
     ),
     # labels always from the walk, and `_orbit` taking a None step for a point
@@ -122,6 +123,9 @@ MUTANTS = (
         "gcd-xi-4", "exactalg.py", "k = (1 + min(max(map(abs, F)), max(map(abs, G)))).bit_length() + 17", "k = 2",
         EXACT,
     ),
+    # the identity decision: every identity zero, and x = 2^k below the root bound
+    Mutant("identity-always-zero", "exactalg.py", "    return not any(formula(*values))", "    return True", EXACT),
+    Mutant("identity-exponent-unbounded", "exactalg.py", "    k = (bound + 1).bit_length()", "    k = 2", EXACT),
     Mutant("quotient-constant-lc-e", "exactalg.py", "lead ** (e + 1) * f._den", "lead ** e * f._den", EXACT),
     Mutant("partner-no-residual", "exactalg.py", "    if any(rem):\n", "    if False:\n", EXACT),
     # one coefficient off, each against the Bethe divisibility oracle alone
