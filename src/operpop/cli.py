@@ -171,7 +171,7 @@ def echo_problem(p: ProblemData, y: PolyTuple, extras: dict) -> dict:
         "rank": p.cartan.rank,
         "weights": [[str(v) for v in w] for w in p.weights],
         "points": [str(z) for z in p.points],
-        "tuple": [poly.coeff_strs() for poly in y.polys],
+        "tuple": [poly.coeff_strs() for poly in y],
     }
     if "path" in extras:
         doc["path"] = list(extras["path"])
@@ -225,7 +225,7 @@ def cmd_descend(p: ProblemData, y: PolyTuple, extras: dict, report: dict, direct
     child = descend(y, direction, param, p)
     report["direction"] = direction
     report["parameter"] = [str(param[0]), str(param[1])]
-    report["descendant"] = [q.coeff_strs() for q in child.polys]
+    report["descendant"] = [q.coeff_strs() for q in child]
     report["descendant_generic"] = bool(is_generic(child, p))
     return 0
 
@@ -238,7 +238,7 @@ def cmd_populate(p: ProblemData, y: PolyTuple, extras: dict, report: dict, max_c
     for degs in sorted(summary.cells):
         cell = summary.cells[degs]
         sample = []
-        for q in cell.sample.polys:
+        for q in cell.sample:
             if (s := strs.get(q)) is None:
                 s = strs[q] = q.coeff_strs()
             sample.append(s)
@@ -269,9 +269,6 @@ def _solve(p: ProblemData, y: PolyTuple, extras: dict, report: dict) -> int:
     except UnsupportedTypeError as exc:
         report["error"] = f"general builder: {exc}"
         return 2
-    except (ReproductionError, FertilityError) as exc:
-        report["error"] = str(exc)
-        return 1
     except VerificationError as exc:
         report["error"] = str(exc)
         report["verification"] = "failed"
@@ -382,7 +379,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             code = _solve(p, y, extras, report)
         else:
             code = cmd_verify(p, y, extras, report)
-    except (ReproductionError, FertilityError, CollisionError, ExplorationError) as exc:
+    except (ReproductionError, FertilityError, ExplorationError) as exc:
         report["error"] = str(exc)
         code = 1
     _emit(report, output, started)

@@ -76,18 +76,18 @@ def problem(family: str, rank: int, weights: Sequence[Sequence] = (), points: Se
     )
 
 
-class PolyTuple:
+class PolyTuple(tuple):
     """An r-tuple of monic nonzero polynomials (a projective representative)."""
 
-    __slots__ = ("polys",)
+    __slots__ = ()
 
-    def __init__(self, polys: Sequence[Poly]):
+    def __new__(cls, polys: Sequence[Poly]):
         normalized = []
         for p in polys:
             if p.is_zero():
                 raise ValueError("tuple entries must be nonzero")
             normalized.append(p.monic())
-        self.polys = tuple(normalized)
+        return super().__new__(cls, normalized)
 
     @classmethod
     def constants(cls, rank: int) -> "PolyTuple":
@@ -95,33 +95,19 @@ class PolyTuple:
 
     @property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(p.degree() for p in self.polys)
+        return tuple(p.degree() for p in self)
 
     def replace(self, i: int, p: Poly) -> "PolyTuple":
         """This tuple with entry i (1-based) replaced by p, made monic; the
         other entries are monic already."""
         if p.is_zero():
             raise ValueError("tuple entries must be nonzero")
-        polys = list(self.polys)
+        polys = list(self)
         polys[i - 1] = p.monic()
-        out = object.__new__(PolyTuple)
-        out.polys = tuple(polys)
-        return out
-
-    def __len__(self) -> int:
-        return len(self.polys)
-
-    def __getitem__(self, i: int) -> Poly:
-        return self.polys[i]
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PolyTuple) and self.polys == other.polys
-
-    def __hash__(self) -> int:
-        return hash(self.polys)
+        return tuple.__new__(PolyTuple, polys)
 
     def __repr__(self) -> str:
-        return "PolyTuple(" + ", ".join(str(p) for p in self.polys) + ")"
+        return "PolyTuple(" + ", ".join(str(p) for p in self) + ")"
 
 
 @dataclass(frozen=True)

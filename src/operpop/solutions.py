@@ -249,70 +249,39 @@ class TwistedMatrix:
     """T^q times a matrix of rational functions, held column by column.
 
     Column j is (num_j, den_j): polynomials over a denominator of its own.
-    Every column shares the one twist q, canonical in [0, 1)^r;
-    construction folds the integer parts of a q that is not canonical yet
-    into the numerators or the denominators.  `num` and `den` give the
-    matrix over one common denominator, the lcm of the den_j.  Entries are
-    not reduced; `rows` and `column` render each one as the twisted function
+    Every column shares the one twist q, canonical in [0, 1)^r; the
+    constructor folds the integer parts of a q that is not canonical yet
+    into the numerators or the denominators.  Entries are not reduced;
+    `rows` and `column` render each one as the twisted function
     RatFunc(num_ij, den_j) * T^q.
     """
 
     __slots__ = ("ctx", "q", "cols")
 
-    def __init__(self, ctx: TwistContext, q: Sequence, num: Sequence[Sequence[Poly]], den: Poly):
-        """T^q num / den, num row by row: every column over the one den."""
-        self._set(ctx, q, [(list(col), den) for col in zip(*num)])
-
-    def _set(self, ctx: TwistContext, q: Sequence, cols: list[Column]) -> None:
-        self.ctx, self.q = ctx, tuple(Fraction(e) for e in q)
+    def __init__(self, ctx: TwistContext, q: Sequence, cols: Sequence[Column]):
+        self.ctx, self.q, self.cols = ctx, tuple(Fraction(e) for e in q), list(cols)
         if not _canonical(ctx, self.q):
             self.q, up, down = _fold(ctx, self.q)
             if up.degree() > 0:
-                cols = [([v * up for v in nums], d) for nums, d in cols]
+                self.cols = [([v * up for v in nums], d) for nums, d in self.cols]
             if down.degree() > 0:
-                cols = [(nums, d * down) for nums, d in cols]
-        self.cols = cols
-
-    @classmethod
-    def from_columns(cls, ctx: TwistContext, q: Sequence, cols: Sequence[Column]) -> "TwistedMatrix":
-        out = cls.__new__(cls)
-        out._set(ctx, q, list(cols))
-        return out
-
-    @classmethod
-    def identity(cls, ctx: TwistContext, n: int) -> "TwistedMatrix":
-        num = [[Poly.const(int(i == j)) for j in range(n)] for i in range(n)]
-        return cls(ctx, (0,) * ctx.rank, num, Poly.one())
-
-    @property
-    def den(self) -> Poly:
-        """The common denominator: the lcm of the column denominators."""
-        return reduce(_lcm, dict.fromkeys(d for _, d in self.cols))
-
-    @property
-    def num(self) -> list[list[Poly]]:
-        """The numerators over `den`, row by row."""
-        return self._over(self.den)
-
-    def _over(self, L: Poly) -> list[list[Poly]]:
-        """The numerators over L, a multiple of every column denominator, row by row."""
-        cols = [nums if d == L else [v * (L // d) for v in nums] for nums, d in self.cols]
-        return [list(row) for row in zip(*cols)]
+                self.cols = [(nums, d * down) for nums, d in self.cols]
 
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.cols[0][0]) if self.cols else 0, len(self.cols))
 
     def __matmul__(self, other: "TwistedMatrix") -> "TwistedMatrix":
-        """The product: with self = num / L over the common denominator,
-        column j is num @ other.num_j / (L other.den_j), its common factor
-        divided out."""
+        """The product: column j is sum_k other_kj column_k of self over
+        other.den_j, one `_plus` combination."""
         if self.shape[1] != other.shape[0]:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        L = self.den
-        left = self._over(L)
-        cols = [_reduced([_dot(row, nums) for row in left], L * den) for nums, den in other.cols]
-        return TwistedMatrix.from_columns(self.ctx, [a + b for a, b in zip(self.q, other.q)], cols)
+        zero = ([Poly.zero()] * self.shape[0], Poly.one())
+        cols = [
+            _plus(zero, RatFunc(Poly.one(), den), [(b, col) for b, col in zip(nums, self.cols) if b])
+            for nums, den in other.cols
+        ]
+        return TwistedMatrix(self.ctx, [a + b for a, b in zip(self.q, other.q)], cols)
 
     def is_zero(self) -> bool:
         return not any(v for nums, _ in self.cols for v in nums)
@@ -335,15 +304,6 @@ class TwistedMatrix:
 
     def __repr__(self) -> str:
         return f"TwistedMatrix({self.shape[0]}x{self.shape[1]})"
-
-
-def _dot(row: Sequence, col: Sequence) -> Poly:
-    """sum_k row_k col_k over Poly and Fraction factors, skipping zeros."""
-    return sum((a * b for a, b in zip(row, col) if a and b), Poly.zero())
-
-
-def _lcm(a: Poly, b: Poly) -> Poly:
-    return a * (b // poly_gcd(a, b))
 
 
 def _reduced(nums: list[Poly], den: Poly) -> Column:
@@ -372,10 +332,10 @@ def _square_zero(M: Entries) -> Entries:
     return M
 
 
-def _plus(target: Column, g: RatFunc, terms: Sequence[tuple[Fraction, Column]]) -> Column:
-    """target + g sum_t s_t column_t over den(g) times the product of the
-    distinct denominators, gcd-reduced once; target itself when every
-    column_t is zero."""
+def _plus(target: Column, g: RatFunc, terms: Sequence[tuple[Fraction | Poly, Column]]) -> Column:
+    """target + g sum_t s_t column_t, each s_t a scalar or a polynomial, over
+    den(g) times the product of the distinct denominators, gcd-reduced once;
+    target itself when every column_t is zero."""
     terms = [(s, (col, den)) for s, (col, den) in terms if any(col)]
     if not terms:
         return target
@@ -429,12 +389,13 @@ def exp_generator(M: Entries, g: RatFunc, ctx: TwistContext, n: int) -> TwistedM
             raise ValueError("matrix is not nilpotent")
         powers.append(tuple((a, b, Fraction(s, len(powers))) for a, b, s in _product(powers[-1], M)))
     m = len(powers) - 2
-    num = [[Poly.zero()] * n for _ in range(n)]
+    cols = [[Poly.zero()] * n for _ in range(n)]
     for k, P in enumerate(powers[:-1]):
         scalar = g.num**k * g.den ** (m - k)
         for a, b, s in P:
-            num[a][b] = num[a][b] + scalar * s
-    return TwistedMatrix(ctx, (0,) * ctx.rank, num, g.den**m)
+            cols[b][a] = cols[b][a] + scalar * s
+    den = g.den**m
+    return TwistedMatrix(ctx, (0,) * ctx.rank, [(col, den) for col in cols])
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +419,7 @@ def apply_miura(D: MiuraOper, rep: MatrixRep, Y: TwistedMatrix) -> TwistedMatrix
     R = _residuals(rep.oper_rows, layout, *groups)
     L, n = prod(g[0] for g in groups[2:]), rep.dim
     cols = [(R[n * j : n * j + n], L * den * den) for j, (_, den) in enumerate(Y.cols)]
-    return TwistedMatrix.from_columns(Y.ctx, Y.q, cols)
+    return TwistedMatrix(Y.ctx, Y.q, cols)
 
 
 def _poly_part(p: Poly, derivative: bool = False, scale=1) -> Poly:
@@ -551,7 +512,7 @@ def _weight_diagonal(ctx: TwistContext, rep: MatrixRep, entries: Sequence[Poly])
         if row_q != q:
             raise ValueError(f"row {k} of the weight diagonal has twist {row_q}, not {q}")
     cols = [_weight_column(rep, k, entries, up, down) for k, (_, up, down) in enumerate(rows)]
-    return TwistedMatrix.from_columns(ctx, q, cols)
+    return TwistedMatrix(ctx, q, cols)
 
 
 def _verify(D: MiuraOper, rep: MatrixRep, Y: TwistedMatrix, label: str) -> None:
@@ -572,20 +533,20 @@ def _lowest_weight_columns(
     weight-diagonal column of the lowest weight at the path's last tuple; the
     columns share the lowest row's twist, and D Y = 0 is verified once for all."""
     D = miura_from_tuple(y, p)  # before the rep, so a type without one still checks its pairings
-    rep = default_rep(p)
+    rep = rep_minuscule(p.cartan.family, p.rank)
     ctx = twist_context(p)
     q, up, down = _fold(ctx, tuple(w[rep.lowest] for w in rep.coweights))
     columns = []
     for path in paths:
-        gs, entries = [], y.polys
-        for step in calibrated_sequence(y.polys, path, p, shifts=shifts):
+        gs, entries = [], y
+        for step in calibrated_sequence(y, path, p, shifts=shifts):
             gs.append((rep.E[step.index - 1], RatFunc(step.rhs, entries[step.index - 1] * step.diagonal)))
             entries = step.entries
         column = _weight_column(rep, rep.lowest, entries, up, down)
         for E, g in reversed(gs):  # exp(g_1 E_1) ... exp(g_k E_k) v, right to left
             column = _exp_times(E, g, column)
         columns.append(column)
-    Y = TwistedMatrix.from_columns(ctx, q, columns)
+    Y = TwistedMatrix(ctx, q, columns)
     _verify(D, rep, Y, label)
     return Y
 
@@ -605,7 +566,7 @@ def fold_to_A(y: PolyTuple, p: ProblemData) -> tuple[PolyTuple, ProblemData]:
     if p.cartan.family != "B":
         raise UnsupportedTypeError("fold_to_A needs a type B problem")
     r = p.rank
-    folded = PolyTuple(list(y.polys) + [y.polys[r - 1 - k] for k in range(1, r)])
+    folded = PolyTuple(list(y) + [y[r - 1 - k] for k in range(1, r)])
     weights = []
     for w in p.weights:
         weights.append(tuple(w) + tuple(w[r - 1 - k] for k in range(1, r)))
@@ -623,17 +584,17 @@ def solution_BC(y: PolyTuple, p: ProblemData) -> TwistedMatrix:
     if p.cartan.family != "B":
         raise UnsupportedTypeError("solution_BC needs a type B problem")
     r = p.rank
-    rep = default_rep(p)
+    rep = rep_minuscule(p.cartan.family, p.rank)
     D = miura_from_tuple(y, p)
     ctx = twist_context(p)
     u, pA = fold_to_A(y, p)
-    W = _weight_diagonal(ctx, rep, y.polys)
+    W = _weight_diagonal(ctx, rep, y)
     columns = W.cols
     for i in range(1, r):
-        bsteps = calibrated_sequence(y.polys, list(range(i, r + 1)), p)
+        bsteps = calibrated_sequence(y, list(range(i, r + 1)), p)
         # on nodes i..r-1 the folded relations are the native ones and the
         # mirror entries are untouched: continue the folded sequence from there
-        asteps = calibrated_sequence(bsteps[r - i - 1].entries + u.polys[r:], list(range(r, 2 * r - i)), pA)
+        asteps = calibrated_sequence(bsteps[r - i - 1].entries + u[r:], list(range(r, 2 * r - i)), pA)
         for j in range(i, r):
             g = RatFunc(bsteps[j - i].diagonal, y[j - 1])
             columns = _times_exp(columns, nested_bracket(rep, "F", i, j), g)
@@ -642,16 +603,11 @@ def solution_BC(y: PolyTuple, p: ProblemData) -> TwistedMatrix:
         for j in range(r, 2 * r - i):
             g = RatFunc(asteps[j - r].diagonal, y[2 * r - j - 1])
             columns = _times_exp(columns, nested_bracket(rep, "Fstar", i, 2 * r - j), g)
-    last = calibrated_sequence(y.polys, [r], p)
+    last = calibrated_sequence(y, [r], p)
     columns = _times_exp(columns, rep.F[r - 1], RatFunc(last[0].diagonal, y[r - 1]))
-    Y = TwistedMatrix.from_columns(ctx, W.q, columns)
+    Y = TwistedMatrix(ctx, W.q, columns)
     _verify(D, rep, Y, "solution_BC")
     return Y
-
-
-def default_rep(p: ProblemData) -> MatrixRep:
-    """The minuscule representation of the dual algebra, built once per type."""
-    return rep_minuscule(p.cartan.family, p.rank)
 
 
 def solution_general(

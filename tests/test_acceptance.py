@@ -264,7 +264,7 @@ def _conjugation_identity_holds(y, p, rep) -> bool:
 
     ctx = twist_context(p)
     D = miura_from_tuple(y, p)
-    h = _weight_diagonal(ctx, rep, y.polys)
+    h = _weight_diagonal(ctx, rep, y)
     lhs = apply_miura(D, rep, h).rows
     T = build_T(p)
     rhs = [[TwistedFunc.zero(ctx)] * rep.dim for _ in range(rep.dim)]
@@ -276,10 +276,10 @@ def _conjugation_identity_holds(y, p, rep) -> bool:
                 num = num * y[l - 1] ** e
             else:
                 den = den * y[l - 1] ** (-e)
-        F_j = [[0] * rep.dim for _ in range(rep.dim)]
+        cols = [([Poly.zero()] * rep.dim, den) for _ in range(rep.dim)]
         for a, b, s in rep.F[j - 1]:
-            F_j[a][b] = s
-        M = TwistedMatrix(ctx, [0] * p.rank, [[num * v for v in row] for row in F_j], den)
+            cols[b][0][a] = num * s
+        M = TwistedMatrix(ctx, [0] * p.rank, cols)
         rhs = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(rhs, (h @ M).rows)]
     return all((a + b).is_zero() for ra, rb in zip(lhs, rhs) for a, b in zip(ra, rb))
 
@@ -322,14 +322,14 @@ def test_criterion_07_conjugation_and_reduced_relations(desk):
 
     # exact sl_2 normalization W(ybar, ybar^[1]) = 1 and the sl_3 relation
     ctx = twist_context(half_p)
-    steps = calibrated_sequence(half_y.polys, [1], half_p)
+    steps = calibrated_sequence(half_y, [1], half_p)
     ybar = TwistedFunc.term(ctx, RatFunc(half_y[0]), [F(-1, 2)])
     dbar = TwistedFunc.term(ctx, RatFunc(steps[0].diagonal), [F(-1, 2)])
     assert twisted_wronskian(ybar, dbar) == TwistedFunc.one(ctx)
 
     a2_p, a2_y = desk["a2"]
     ctx3 = twist_context(a2_p)
-    steps3 = calibrated_sequence(a2_y.polys, [1, 2], a2_p)
+    steps3 = calibrated_sequence(a2_y, [1, 2], a2_p)
     b = a2_p.cartan.b
     red3 = lambda poly, i: TwistedFunc.term(ctx3, RatFunc(poly), [-b[i][l] for l in range(2)])
     assert twisted_wronskian(red3(a2_y[1], 1), red3(steps3[1].diagonal, 1)) == red3(
@@ -339,8 +339,8 @@ def test_criterion_07_conjugation_and_reduced_relations(desk):
     # folded so_5 relation: W(ybar_2, ubar_2^[1,2]) = ybar_1^[1] ybar_1
     u, pA = fold_to_A(b2_y, b2_p)
     ctxb = twist_context(b2_p)
-    bsteps = calibrated_sequence(b2_y.polys, [1, 2], b2_p)
-    asteps = calibrated_sequence(u.polys, [1, 2], pA)
+    bsteps = calibrated_sequence(b2_y, [1, 2], b2_p)
+    asteps = calibrated_sequence(u, [1, 2], pA)
     bb = b2_p.cartan.b
     redb = lambda poly, i: TwistedFunc.term(ctxb, RatFunc(poly), [-bb[i][l] for l in range(2)])
     lhs = twisted_wronskian(redb(b2_y[1], 1), redb(asteps[1].diagonal, 1))

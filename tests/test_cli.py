@@ -54,6 +54,19 @@ class TestCheck:
         assert report["directions"][0]["canonical"] == ["1/4", "-1/2", "1"]
         assert report["critical"] is True
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (dict(HALF, bethe=[["0"]]), "coordinate t_1^(1) sits on a marked point"),
+            (dict(A2_N0, bethe=[["1/2"], ["1/2"]]), "coordinates t_1^(1) and t_1^(2) coincide at 1/2"),
+        ],
+    )
+    def test_colliding_bethe_coordinates_exit_2(self, doc, message, tmp_path, capsys):
+        path = write(tmp_path, "p.json", doc)
+        code, report = run(["check", path], tmp_path, capsys)
+        assert code == 2
+        assert report["error"] == message and "bethe_residuals" not in report
+
     def test_constant_seed(self, tmp_path, capsys):
         path = write(tmp_path, "p.json", A2_N0)
         code, report = run(["check", path], tmp_path, capsys)
@@ -275,7 +288,7 @@ def test_minuscule_types_solve_exactly(name, command, tmp_path, capsys):
     path = write(tmp_path, "p.json", doc)
     code, report = run([command, path, "--path", general_path], tmp_path, capsys)
     assert code == 0 and report["verification"] == "DY=0: exact"
-    assert len(report["solution"]) == solutions.default_rep(parse_problem(doc)[0]).dim
+    assert len(report["solution"]) == solutions.rep_minuscule(doc["lie_type"], doc["rank"]).dim
 
 
 A2_DESK = {

@@ -42,7 +42,7 @@ class TestMiuraFromTuple:
     def test_a2_pairing_shape(self, a2_problem, a2_tuple):
         D = miura_from_tuple(a2_tuple, a2_problem)
         T = build_T(a2_problem)
-        y1, y2 = a2_tuple.polys
+        y1, y2 = a2_tuple
         assert D.pairing(1) == -log_derivative(RatFunc(T[0] * y2, y1 * y1))
         assert D.pairing(2) == -log_derivative(RatFunc(T[1] * y1, y2 * y2))
 
@@ -255,7 +255,7 @@ class TestTwistedOps:
     def test_reduced_wronskian_is_one(self, half_problem, half_tuple):
         # W(ybar, ybar^[1]) = 1 for the exactly calibrated sequence
         ctx = twist_context(half_problem)
-        steps = calibrated_sequence(half_tuple.polys, [1], half_problem)
+        steps = calibrated_sequence(half_tuple, [1], half_problem)
         ybar = TwistedFunc.term(ctx, RatFunc(half_tuple[0]), [F(-1, 2)])
         dbar = TwistedFunc.term(ctx, RatFunc(steps[0].diagonal), [F(-1, 2)])
         assert twisted_wronskian(ybar, dbar) == TwistedFunc.one(ctx)
@@ -359,7 +359,7 @@ class TestReducedWronskianCheck:
     def test_sl3_relation_exact(self, a2_problem, a2_tuple):
         # W(ybar_2, ybar_2^[1,2]) = ybar_1^[1] for calibrated sequences
         ctx = twist_context(a2_problem)
-        steps = calibrated_sequence(a2_tuple.polys, [1, 2], a2_problem)
+        steps = calibrated_sequence(a2_tuple, [1, 2], a2_problem)
         b = a2_problem.cartan.b
         red = lambda poly, i: TwistedFunc.term(
             ctx, RatFunc(poly), [-b[i][l] for l in range(2)]

@@ -117,7 +117,7 @@ class TestCalibratedSequence:
         # step's rhs gives -log'(d / prev) = W(prev, d) / (prev d) in one gcd
         p, y, path = residual_case(name, request)
         shifts = [F(2 * k - 5, k) for k in range(1, len(path) + 1)] if shifted else None
-        entries = y.polys
+        entries = y
         for step in calibrated_sequence(entries, path, p, shifts=shifts):
             prev = entries[step.index - 1]
             assert wronskian(prev, step.diagonal) == step.rhs

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import RESIDUAL_CASES, residual_case, sympy_diag, sympy_matrix
 
-from operpop.exactalg import Poly, RatFunc
+from operpop.exactalg import Poly, RatFunc, poly_gcd
 from operpop.critical import PolyTuple, problem
 from operpop.liedata import cartan_data, langlands_dual, weyl_elements
 from operpop.miura import TwistedFunc, miura_from_tuple, twist_context
@@ -20,7 +20,6 @@ from operpop.solutions import (
     TwistedMatrix,
     UnsupportedTypeError,
     apply_miura,
-    default_rep,
     exp_generator,
     fold_to_A,
     nested_bracket,
@@ -33,6 +32,17 @@ from operpop.solutions import (
 )
 
 X = Poly.x()
+
+
+def from_rows(ctx, q, rows, den):
+    """T^q rows / den: every column over the one den."""
+    return TwistedMatrix(ctx, q, [(list(col), den) for col in zip(*rows)])
+
+
+def unit_columns(ctx, n):
+    """The n x n identity with twist 0."""
+    cols = [([Poly.const(int(i == j)) for i in range(n)], Poly.one()) for j in range(n)]
+    return TwistedMatrix(ctx, (0,) * ctx.rank, cols)
 
 
 def diag(*values):
@@ -210,7 +220,7 @@ class TestNestedBracket:
 class TestExpNilpotent:
     def test_exp_zero(self, half_problem):
         ctx = twist_context(half_problem)
-        assert exp_generator((), RatFunc(X), ctx, 3) == TwistedMatrix.identity(ctx, 3)
+        assert exp_generator((), RatFunc(X), ctx, 3) == unit_columns(ctx, 3)
 
     def test_two_by_two(self, half_problem):
         ctx = twist_context(half_problem)
@@ -225,7 +235,7 @@ class TestExpNilpotent:
         rep = rep_standard_sp(2)
         g = RatFunc(Poly([1, 2, 1]), Poly([3, 1]))
         prod = exp_generator(rep.F[0], g, ctx, 4) @ exp_generator(rep.F[0], -g, ctx, 4)
-        assert prod == TwistedMatrix.identity(ctx, 4)
+        assert prod == unit_columns(ctx, 4)
 
     def test_non_nilpotent_rejected(self, half_problem):
         ctx = twist_context(half_problem)
@@ -285,7 +295,7 @@ class TestSolutionA:
         rep = rep_standard_sl(2)
         Y = solution_A(half_tuple, half_problem)
         c = Poly.const
-        g = TwistedMatrix(ctx, [0], [[c(2), c(1)], [c(0), c(3)]], Poly.one())
+        g = from_rows(ctx, [0], [[c(2), c(1)], [c(0), c(3)]], Poly.one())
         D = miura_from_tuple(half_tuple, half_problem)
         assert apply_miura(D, rep, Y @ g).is_zero()
 
@@ -294,18 +304,18 @@ class TestSolutionA:
         calls = []
         fold = solutions._fold
         monkeypatch.setattr(solutions, "_fold", lambda *args: calls.append(args) or fold(*args))
-        one = [[Poly.one()]]
-        Y = TwistedMatrix(ctx, [F(1, 2)], one, Poly.one())
-        assert calls == [] and Y.q == (F(1, 2),) and Y.num == one
-        Y = TwistedMatrix(ctx, [F(3, 2)], one, Poly.one())  # T^(3/2) = T^(1/2) T
-        assert len(calls) == 1 and Y.q == (F(1, 2),) and Y.num == [[ctx.T[0]]]
-        Y = TwistedMatrix(ctx, [F(-1, 2)], one, Poly.one())  # T^(-1/2) = T^(1/2) / T
-        assert Y.q == (F(1, 2),) and Y.den == ctx.T[0]
+        one = [([Poly.one()], Poly.one())]
+        Y = TwistedMatrix(ctx, [F(1, 2)], one)
+        assert calls == [] and Y.q == (F(1, 2),) and Y.cols == one
+        Y = TwistedMatrix(ctx, [F(3, 2)], one)  # T^(3/2) = T^(1/2) T
+        assert len(calls) == 1 and Y.q == (F(1, 2),) and Y.cols == [([ctx.T[0]], Poly.one())]
+        Y = TwistedMatrix(ctx, [F(-1, 2)], one)  # T^(-1/2) = T^(1/2) / T
+        assert Y.q == (F(1, 2),) and Y.cols == [([Poly.one()], ctx.T[0])]
         with pytest.raises(ValueError, match="not in"):
-            TwistedMatrix(ctx, [F(1, 3)], one, Poly.one())
+            TwistedMatrix(ctx, [F(1, 3)], one)
         # T_2 = 1: the twist at node 2 is trivial and folds to 0
         ctx = twist_context(problem("A", 2, [[1, 0]], [0]))
-        assert TwistedMatrix(ctx, [F(1, 3), F(1, 3)], one, Poly.one()).q == (F(1, 3), 0)
+        assert TwistedMatrix(ctx, [F(1, 3), F(1, 3)], one).q == (F(1, 3), 0)
 
     def test_commuting_factors(self):
         # within Y_i of the type A formula the bracket matrices commute
@@ -336,21 +346,21 @@ def nested_bracket_solution_A(y, p):
     product of exp(g_ij F_{i,j}), g_ij = d_j / y_j for the diagonal sequence
     d_i, ..., d_r along [i, ..., r]: solution_A's formula before it took the
     lowest-weight columns, kept as a reference."""
-    r, rep, ctx = p.rank, default_rep(p), twist_context(p)
-    W = solutions._weight_diagonal(ctx, rep, y.polys)
+    r, rep, ctx = p.rank, rep_minuscule(p.cartan.family, p.rank), twist_context(p)
+    W = solutions._weight_diagonal(ctx, rep, y)
     columns = W.cols
     for i in range(1, r + 1):
-        steps = calibrated_sequence(y.polys, list(range(i, r + 1)), p)
+        steps = calibrated_sequence(y, list(range(i, r + 1)), p)
         for j, step in zip(range(i, r + 1), steps):
             g = RatFunc(step.diagonal, y[j - 1])
             columns = solutions._times_exp(columns, nested_bracket(rep, "F", i, j), g)
-    return TwistedMatrix.from_columns(ctx, W.q, columns)
+    return TwistedMatrix(ctx, W.q, columns)
 
 
 class TestFoldToA:
     def test_palindrome(self, b2_problem, b2_tuple):
         u, pA = fold_to_A(b2_tuple, b2_problem)
-        assert u.polys == (b2_tuple[0], b2_tuple[1], b2_tuple[0])
+        assert u == (b2_tuple[0], b2_tuple[1], b2_tuple[0])
         assert pA.cartan.family == "A" and pA.cartan.rank == 3
         assert pA.weights[0] == (1, 0, 1)
         assert pA.weights[1] == (0, 1, 0)
@@ -463,7 +473,7 @@ class TestApplyMiura:
         ctx = twist_context(p)
         rep = rep_standard_sl(2)
         D = miura_from_tuple(PolyTuple.constants(1), p)
-        Y = TwistedMatrix.identity(ctx, 2)
+        Y = unit_columns(ctx, 2)
         out = apply_miura(D, rep, Y)
         assert out.rows[1][0] == TwistedFunc.one(ctx)  # the F_1 block
         assert out.rows[0][0].is_zero()
@@ -472,7 +482,7 @@ class TestApplyMiura:
         ctx = twist_context(half_problem)
         D = miura_from_tuple(half_tuple, half_problem)
         with pytest.raises(ValueError):
-            apply_miura(D, rep_standard_sl(3), TwistedMatrix.identity(ctx, 2))
+            apply_miura(D, rep_standard_sl(3), unit_columns(ctx, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +510,8 @@ def test_product_matches_twisted_field(data, n, k, m):
     # the product both fold integer parts into num or den
     qa, num_a, den_a = data.draw(twisted_matrices(n, k))
     qb, num_b, den_b = data.draw(twisted_matrices(k, m))
-    A = TwistedMatrix(A2_CTX, qa, num_a, den_a)
-    B = TwistedMatrix(A2_CTX, qb, num_b, den_b)
+    A = from_rows(A2_CTX, qa, num_a, den_a)
+    B = from_rows(A2_CTX, qb, num_b, den_b)
     for i in range(n):
         for j in range(k):
             assert A.rows[i][j] == TwistedFunc.term(A2_CTX, RatFunc(num_a[i][j], den_a), qa)
@@ -517,17 +527,17 @@ def test_product_matches_twisted_field(data, n, k, m):
 def test_weight_diagonal_needs_one_twist(a2_problem, a2_tuple):
     import dataclasses
 
-    rep = default_rep(a2_problem)
+    rep = rep_minuscule("A", 2)
     w1 = list(rep.coweights[0])
     w1[0] += F(1, 3)  # rows 0 and 1 of w_1 no longer differ by an integer
     bad = dataclasses.replace(rep, coweights=(tuple(w1),) + rep.coweights[1:])
     with pytest.raises(ValueError, match="twist"):
-        solutions._weight_diagonal(twist_context(a2_problem), bad, a2_tuple.polys)
+        solutions._weight_diagonal(twist_context(a2_problem), bad, a2_tuple)
 
 
 def twisted_residual(y, p, rows):
     """Y' + (sum F_i + sum c_j H_j) Y from rendered entries, in the twisted field."""
-    rep, D = default_rep(p), miura_from_tuple(y, p)
+    rep, D = rep_minuscule(p.cartan.family, p.rank), miura_from_tuple(y, p)
     n = rep.dim
     M = [[RatFunc.zero()] * n for _ in range(n)]
     for f in rep.F:
@@ -598,7 +608,7 @@ def builder_outputs():
     out = []
     for family, rank, weights in [("A", 3, [[1, 0, 0], [0, 0, 1]]), ("B", 2, [[1, 0], [0, 1]])]:
         p = problem(family, rank, weights, [0, -1])
-        rep = default_rep(p)
+        rep = rep_minuscule(family, rank)
         for cell in list(explore(PolyTuple.constants(rank), p).cells.values())[:6]:
             D = miura_from_tuple(cell.sample, p)
             out.append((D, rep, (solution_A if family == "A" else solution_BC)(cell.sample, p)))
@@ -618,7 +628,7 @@ def test_verify_raises_exactly_when_the_residual_is_nonzero(data, c, m):
     nums, den = list(cols[j][0]), cols[j][1]
     nums[i] = nums[i] + X**m * den * c
     cols[j] = (nums, den)
-    Y = TwistedMatrix.from_columns(Y.ctx, Y.q, cols)
+    Y = TwistedMatrix(Y.ctx, Y.q, cols)
     try:
         solutions._verify(D, rep, Y, "perturbed")
         raised = False
@@ -648,18 +658,21 @@ def test_the_population_gives_all_solutions(family, rank, weights, points):
     # vector, cleared to one denominator, and take the exact rank over Q
     p = problem(family, rank, weights, points)
     y = PolyTuple.constants(rank)
+    def lcm(a, b):
+        return a * (b // poly_gcd(a, b))
+
     cleared = []
     for word in weyl_elements(p.cartan):
         vec = solution_general(y, word, p)
         assert len({v.q for v in vec if not v.is_zero()}) == 1
-        den = reduce(solutions._lcm, [v.coeff.den for v in vec])
+        den = reduce(lcm, [v.coeff.den for v in vec])
         cleared.append([v.coeff.num * (den // v.coeff.den) for v in vec])
     width = 1 + max(q.degree() for polys in cleared for q in polys)
     stacked = sympy.Matrix(
         [[sympy.Rational(c.numerator, c.denominator) for q in polys for c in q.coeffs + (F(0),) * (width - len(q.coeffs))]
          for polys in cleared]
     )
-    assert stacked.rank() == default_rep(p).dim
+    assert stacked.rank() == rep_minuscule(family, rank).dim
 
 
 # ---------------------------------------------------------------------------
@@ -716,21 +729,21 @@ SQUARE_ZERO = {
 def test_column_updates_match_the_exponential(data, name):
     M = SQUARE_ZERO[name]
     q, num, den = data.draw(twisted_matrices(3, 3))
-    Y = TwistedMatrix(A2_CTX, q, num, den)
+    Y = from_rows(A2_CTX, q, num, den)
     g = RatFunc(data.draw(POLYS), Poly.from_roots(data.draw(DENS)[0]))
     exp_gM = exp_generator(M, g, A2_CTX, 3)
-    right = TwistedMatrix.from_columns(A2_CTX, Y.q, solutions._times_exp(Y.cols, M, g))
+    right = TwistedMatrix(A2_CTX, Y.q, solutions._times_exp(Y.cols, M, g))
     assert right == Y @ exp_gM
     for j in range(3):
-        column = TwistedMatrix.from_columns(A2_CTX, Y.q, [solutions._exp_times(M, g, Y.cols[j])])
-        assert column == exp_gM @ TwistedMatrix.from_columns(A2_CTX, Y.q, [Y.cols[j]])
+        column = TwistedMatrix(A2_CTX, Y.q, [solutions._exp_times(M, g, Y.cols[j])])
+        assert column == exp_gM @ TwistedMatrix(A2_CTX, Y.q, [Y.cols[j]])
 
 
 def test_a_factor_with_nonzero_square_raises(half_problem):
     # nilpotent (M^3 = 0) but M^2 != 0: 1 + g M is not exp(g M)
     ctx = twist_context(half_problem)
     M = _entries([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
-    Y = TwistedMatrix.identity(ctx, 3)
+    Y = unit_columns(ctx, 3)
     with pytest.raises(ValueError, match=r"M\^2 != 0"):
         solutions._times_exp(Y.cols, M, RatFunc(X))
     with pytest.raises(ValueError, match=r"M\^2 != 0"):
@@ -750,9 +763,7 @@ def test_builders_make_no_matrix_product(monkeypatch, a3_problem, a3_tuple, b2_p
 
 
 def test_weight_diagonal_columns_keep_their_own_denominators(a2_problem, a2_tuple):
-    rep = default_rep(a2_problem)
-    W = solutions._weight_diagonal(twist_context(a2_problem), rep, a2_tuple.polys)
+    rep = rep_minuscule("A", 2)
+    W = solutions._weight_diagonal(twist_context(a2_problem), rep, a2_tuple)
     dens = [den for _, den in W.cols]
     assert len(set(dens)) > 1
-    # the common-denominator view is the same matrix
-    assert TwistedMatrix(W.ctx, W.q, W.num, W.den) == W

@@ -1,5 +1,6 @@
 """Engine-independent oracles: sympy checks the exact polynomial layer,
-the representations and the criticality of population samples.
+the representations, the criticality of population samples and D Y = 0 on
+the solutions that `solve` and `verify` report.
 
 The expected values are computed in sympy alone (its own ring operations,
 gcd, derivative, division, cancellation, rational integration and matrix
@@ -20,6 +21,7 @@ from operpop.cli import main
 from operpop.exactalg import Poly, RatFunc, poly_gcd, squarefree, wronskian, wronskian_partner
 from operpop.liedata import cartan_data, langlands_dual
 from operpop.solutions import rep_minuscule
+from test_cli import SOLUTION_CORPUS, _solution_argv
 
 x = sympy.Symbol("x")
 
@@ -205,14 +207,26 @@ def test_minuscule_rep_satisfies_the_dual_chevalley_relations(family, rank):
 
 
 # Cartan matrices a_ij = <alpha_j, alpha_i^vee> in the Bourbaki labelling
-# (the short root of B2 and the long root of C3 last), weights at 0 and 1,
-# and |W|.
+# (the short root of B_r and the long root of C_r last)
+CARTAN = {
+    "A1": [[2]],
+    "A2": [[2, -1], [-1, 2]],
+    "A3": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+    "B2": [[2, -1], [-2, 2]],
+    "B3": [[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
+    "B4": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -2, 2]],
+    "C3": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
+    "D4": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
+    "G2": [[2, -3], [-1, 2]],
+}
+
+# weights at 0 and 1, and |W|
 BETHE_CORPUS = {
-    "B2": ("B", [[2, -1], [-2, 2]], [[1, 0], [0, 1]], 8),
-    "G2": ("G", [[2, -3], [-1, 2]], [[1, 0], [0, 1]], 12),
-    "A3": ("A", [[2, -1, 0], [-1, 2, -1], [0, -1, 2]], [[1, 0, 0], [0, 0, 1]], 24),
-    "C3": ("C", [[2, -1, 0], [-1, 2, -2], [0, -1, 2]], [[1, 0, 0], [0, 0, 1]], 48),
-    "D4": ("D", [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]], [], 192),
+    "B2": ([[1, 0], [0, 1]], 8),
+    "G2": ([[1, 0], [0, 1]], 12),
+    "A3": ([[1, 0, 0], [0, 0, 1]], 24),
+    "C3": ([[1, 0, 0], [0, 0, 1]], 48),
+    "D4": ([], 192),
 }
 
 
@@ -221,7 +235,8 @@ def test_population_samples_satisfy_the_bethe_divisibility(name, tmp_path, capsy
     # a root t of y_i is critical iff 2 sum_{u != t} 1/(t - u) = y_i''(t)/y_i'(t)
     # equals -W_i'(t)/W_i(t), W_i = T_i prod_{j != i} y_j^(-a_ij): y_i must
     # divide y_i'' W_i - y_i' W_i'
-    family, a, weights, order = BETHE_CORPUS[name]
+    family, a = name[0], CARTAN[name]
+    weights, order = BETHE_CORPUS[name]
     rank = len(a)
     points = ["0", "1"][: len(weights)]
     doc = {"lie_type": family, "rank": rank, "weights": weights, "points": points, "tuple": [["1"]] * rank}
@@ -241,3 +256,89 @@ def test_population_samples_satisfy_the_bethe_divisibility(name, tmp_path, capsy
                     W = W * y[j] ** -a[i][j]
             residue = y[i].diff(x).diff(x) * W - y[i].diff(x) * W.diff(x)
             assert residue.rem(y[i]).is_zero, (cell["degrees"], i + 1)
+
+
+# ---------------------------------------------------------------------------
+# D Y = 0 on `solve` and `verify` reports, read back into QQ(x)
+# ---------------------------------------------------------------------------
+
+QQX = sympy.QQ.frac_field(x)
+DX = QQX.gens[0]
+
+
+def _in_field(s: str):
+    return QQX.from_sympy(sympy.parse_expr(s.replace("^", "**"), {"x": x}))
+
+
+def _log_derivative(f):
+    return f.diff(DX) / f
+
+
+def assert_report_solves_DY_0(report):
+    """Y = T^q Y_f from the report's strings; Y_f' + lambda Y_f + (sum F_i +
+    sum c_j H_j) Y_f = 0 entry by entry, with lambda = sum_l q_l T_l'/T_l and
+    c_j = log'(y_j) - sum_l b_jl log'(T_l), b the inverse Cartan matrix.  F_i
+    and H_j come from `rep_minuscule`, which the Chevalley oracle above checks."""
+    doc, solution = report["problem"], report["solution"]
+    family, rank = doc["lie_type"], doc["rank"]
+    b = sympy.Matrix(CARTAN[f"{family}{rank}"]).inv()
+    T = [QQX.one] * rank
+    for w, z in zip(doc["weights"], doc["points"]):
+        for l in range(rank):
+            T[l] *= (DX - QQX.from_sympy(sympy.Rational(z))) ** int(w[l])
+    y = [QQX.from_sympy(sum(sympy.Rational(c) * x**k for k, c in enumerate(coeffs))) for coeffs in doc["tuple"]]
+    c = [
+        _log_derivative(y[j]) - sum((QQX.from_sympy(b[j, l]) * _log_derivative(T[l]) for l in range(rank)), QQX.zero)
+        for j in range(rank)
+    ]
+    (key,) = {k for row in solution for entry in row for k in entry}  # one twist for the whole matrix
+    q = [sympy.Rational(e) for e in key.split(",")]
+    assert len(q) == rank
+    lam = sum((QQX.from_sympy(q_l) * _log_derivative(T_l) for q_l, T_l in zip(q, T)), QQX.zero)
+    Y = [[_in_field(entry[key]) if entry else QQX.zero for entry in row] for row in solution]
+    rep = rep_minuscule(family, rank)
+    assert len(Y) == rep.dim and all(any(col) for col in zip(*Y))
+    for j in range(len(Y[0])):
+        residual = [Y[a][j].diff(DX) + lam * Y[a][j] for a in range(rep.dim)]
+        for F_i in rep.F:
+            for a, k, s in F_i:
+                residual[a] += QQX.from_sympy(sympy.Rational(s)) * Y[k][j]
+        for c_l, H_l in zip(c, rep.H):
+            for a, h in enumerate(H_l):
+                residual[a] += h * c_l * Y[a][j]
+        assert not any(residual), (j, residual)
+
+
+@pytest.mark.parametrize("name", sorted(SOLUTION_CORPUS))
+@pytest.mark.parametrize("command", ["solve", "general", "verify"])
+def test_corpus_solutions_satisfy_DY_0(name, command, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(SOLUTION_CORPUS[name][0]))
+    assert main(_solution_argv(name, command, str(path))) == 0
+    assert_report_solves_DY_0(json.loads(capsys.readouterr().out))
+
+
+# weights, points, the stride over the cells and the --path of `verify`:
+# the sl and sp builders on A3 and B2, the general builder on C3 and D4
+SOLVE_CELLS = {
+    "A3": ([[1, 0, 0], [0, 0, 1]], ["0", "2"], 4, "1,2,3"),
+    "B2": ([[1, 0], [0, 1]], ["1", "-2"], 2, "2,1"),
+    "C3": ([[1, 0, 0], [0, 0, 1]], ["-1", "2"], 6, "1,3,2"),
+    "D4": ([], [], 16, "2,1,3,4"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_CELLS))
+def test_cell_solutions_satisfy_DY_0(name, tmp_path, capsys):
+    weights, points, stride, verify_path = SOLVE_CELLS[name]
+    family, rank = name[0], int(name[1:])
+    doc = {"lie_type": family, "rank": rank, "weights": weights, "points": points, "tuple": [["1"]] * rank}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    assert main(["populate", str(path)]) == 0
+    cells = json.loads(capsys.readouterr().out)["cells"]
+    for cell in cells[::stride]:
+        path.write_text(json.dumps(dict(doc, tuple=cell["sample"])))
+        for argv in (["solve", str(path)], ["verify", str(path), "--path", verify_path]):
+            assert main(argv) == 0, (cell["degrees"], argv)
+            assert_report_solves_DY_0(json.loads(capsys.readouterr().out))

@@ -6,7 +6,7 @@ test files run there with `pytest -x`; a failing test kills it.  An
 equivalent mutant (one no test can kill, because the behaviour is unchanged)
 carries the one-line reason.  A change that adds a check adds its mutant.
 
-    python tools/mutants.py           # every mutant, under 2 minutes
+    python tools/mutants.py           # every mutant, about 2 minutes
     python tools/mutants.py M5 M13    # the named ones
 
 M1, M5, M8, M10 and M13 keep the numbers of the first hand-run sweep.
@@ -133,6 +133,11 @@ MUTANTS = (
     Mutant(
         "canonical-partner-coefficient", "critical.py", "return None if u is None else u.monic()",
         "return None if u is None else (u + Poly.one()).monic()", BETHE,
+    ),
+    # the report path after `_verify`, against the D Y = 0 report oracle alone
+    Mutant(
+        "twist-keys-reversed", "cli.py", '",".join(str(e) for e in v.q)', '",".join(str(e) for e in reversed(v.q))',
+        ("tests/test_sympy_oracles.py",),
     ),
 )
 
