@@ -38,6 +38,14 @@ and q(xi) divides gamma.  Hence:
   |c| <= xi/2, q is constant and h.monic() is the monic gcd;
 * if h fails the trial division (an unlucky xi), Euclid over Q decides.
 
+The trial division keeps its quotients f/h and g/h (`_gcd_parts`), and
+each is one integer long division (`_exact_quotient`).  A monic h = H/den
+has H primitive (gcd(den, *H) = 1 and lc(H) = den), so if h divides
+a = A/den_a then A = H Q with Q in Z[x] (Gauss's lemma): every step of
+the long division of A by H has an integer quotient coefficient and the
+remainder is 0.  A step that lc(H) does not divide, or a nonzero final
+remainder, proves h does not divide a; otherwise a/h = Q lc(H) / den_a.
+
 The same bound decides polynomial identities without expanding them
 (`_identity_holds`).  A nonzero R in Z[x] has every root z of modulus
 |z| < 1 + ||R||_inf / |lc R| <= 1 + ||R||_inf, as |lc R| >= 1.  So for any
@@ -90,7 +98,7 @@ class Poly:
     other scalar accessors hand out `Fraction`s.
     """
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ("_num", "_den", "_hash")
 
     def __init__(self, coeffs: Iterable[ScalarLike] = ()):
         cs = [c if type(c) is int else as_scalar(c) for c in coeffs]
@@ -297,7 +305,11 @@ class Poly:
         return isinstance(other, Poly) and self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash((self._den, *self._num))
+        try:
+            return self._hash
+        except AttributeError:  # first call: the slot is unset until here
+            self._hash = h = hash((self._den, *self._num))
+            return h
 
     def __bool__(self) -> bool:
         return bool(self._num)
@@ -466,32 +478,56 @@ def _balanced_digits(n: int, k: int) -> list[int]:
     return digits
 
 
-def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Monic gcd; gcd(0, 0) = 0.
+def _exact_quotient(a: Poly, h: Poly) -> Optional[Poly]:
+    """a / h for a monic h that divides a, else None: the integer long
+    division of the module docstring, stopped at the first remainder."""
+    b, rem = h._num, list(a._num)
+    n, lc = len(b) - 1, b[-1]
+    low, quot = b[:-1], [0] * (len(rem) - n)
+    for k in range(len(quot) - 1, -1, -1):
+        c, r = divmod(rem[k + n], lc)
+        if r:
+            return None
+        if c:
+            quot[k] = c
+            rem[k : k + n] = [x - c * y for x, y in zip(rem[k : k + n], low)]
+    if any(rem[:n]):
+        return None
+    return _poly([c * lc for c in quot] if lc != 1 else quot, a._den)
 
-    Answers 1 at once when both operands are nonzero and one is constant;
-    for two nonconstant operands it first takes one integer gcd at
-    x = 2^k (the evaluation route of the module docstring), which returns
-    1 or a trial-divided candidate; when the candidate fails, and for zero
-    operands, it runs Euclid over Q on primitive remainders.
-    """
+
+def _gcd_parts(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
+    """(h, f / h, g / h) for the monic gcd h of f and g; (0, 0, 0) for f = g = 0.
+
+    h is 1 at once when both operands are nonzero and one is constant; two
+    nonconstant operands first take one integer gcd at x = 2^k (the
+    evaluation route of the module docstring), giving 1 or a candidate whose
+    trial division gives the cofactors; a failed candidate, and a zero
+    operand, run Euclid over Q on primitive remainders."""
     if f and g:
         if f.degree() == 0 or g.degree() == 0:
-            return Poly.one()
+            return Poly.one(), f, g
         F, G = f._num, g._num
         k = (1 + min(max(map(abs, F)), max(map(abs, G)))).bit_length() + 17
         gamma = gcd(_value_at_power_of_two(F, k), _value_at_power_of_two(G, k))
         if gamma < 1 << (k - 1):
-            return Poly.one()
-        h = _primitive(_raw(_balanced_digits(gamma, k), 1))
-        if not f % h and not g % h:
-            return h.monic()
+            return Poly.one(), f, g
+        h = _primitive(_raw(_balanced_digits(gamma, k), 1)).monic()
+        fh = _exact_quotient(f, h)
+        if fh is not None and (gh := _exact_quotient(g, h)) is not None:
+            return h, fh, gh
     a, b = f, g
     while b:
         a, b = b, _primitive(a % b)
     if a.is_zero():
-        return a
-    return a.monic()
+        return a, a, a
+    h = a.monic()
+    return h, _exact_quotient(f, h), _exact_quotient(g, h)
+
+
+def poly_gcd(f: Poly, g: Poly) -> Poly:
+    """Monic gcd; gcd(0, 0) = 0.  The first part of `_gcd_parts`."""
+    return _gcd_parts(f, g)[0]
 
 
 def poly_ext_gcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
@@ -506,8 +542,7 @@ def poly_ext_gcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
         t0, t1 = t1, t0 - q * t1
     if r0.is_zero():
         return r0, s0, t0
-    lead = r0.leading()
-    inv = Fraction(1) / lead
+    inv = 1 / r0.leading()
     return r0.monic(), s0 * inv, t0 * inv
 
 
@@ -540,13 +575,10 @@ class RatFunc:
         if num.is_zero():
             self.num, self.den = Poly.zero(), Poly.one()
             return
-        g = poly_gcd(num, den)
-        if g.degree() > 0:
-            num, den = num // g, den // g
-        lead = den.leading()
-        if lead != 1:
-            inv = Fraction(1) / lead
-            num, den = num * inv, den * inv
+        _, num, den = _gcd_parts(num, den)
+        lead, d = den._num[-1], den._den
+        if lead != d:
+            num, den = num * Fraction(d, lead), den.monic()
         self.num, self.den = num, den
 
     @classmethod
@@ -559,6 +591,9 @@ class RatFunc:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
+
+    def __bool__(self) -> bool:
+        return bool(self.num)
 
     def is_constant(self) -> bool:
         return self.num.degree() <= 0 and self.den.degree() == 0

@@ -7,20 +7,21 @@ with mu_i = 1 to mu - alpha_i.  The dual of every type but E_8, F_4 and
 G_2 has one.  It is stored sparsely: each F_i and E_i as its sorted
 nonzero (row, col, value) entries, each H_i and each coweight as its
 diagonal; the Chevalley relations of the dual Cartan matrix are checked
-entry by entry.  A solution is held as Y = T^q * (num_j / den_j)_j:
-one twist q in [0, 1)^r shared by all columns, and for each column j a
-vector of polynomials num_j over a denominator den_j of its own.
+entry by entry.  A solution is held as Y = T^q * (Y_ij): one twist q in
+[0, 1)^r shared by all columns, and each entry Y_ij one reduced RatFunc,
+reduced once when it is built.
 
 Every factor the builders exponentiate is a root vector of a minuscule
 representation (an E_i, an F_i or a nested bracket of them).  Each weight
 pairs with each coroot in {-1, 0, 1}, so no root string through a weight
 is longer than two and M^2 = 0: exp(g M) = 1 + g M.  Right-multiplying by
-it changes only the columns b where M is nonzero, col_b += g sum_a M_ab
-col_a, and each changed column is gcd-reduced once; left-multiplying a
-column is v += g M v.  The update checks M^2 = 0 and raises otherwise, so
-it never returns a wrong product, and no builder forms an n x n product.
+it changes only the entries col_b[i] += g M_ab col_a[i] with M_ab and
+col_a[i] nonzero; left-multiplying a column changes only v_a += g M_ab v_b.
+The update checks M^2 = 0 and raises otherwise, so it never returns a
+wrong product, and no builder forms an n x n product.
 
-Every builder re-verifies D Y = 0 before returning: it is the polynomial
+Every builder re-verifies D Y = 0 before returning: with column j over
+the monic lcm den_j of its entries' denominators, it is the polynomial
 identity R_ij = 0 for every entry (see apply_miura).  With L the product
 of the distinct denominators d_s of lambda's terms and of the c_j, every
 term of R_ij has one factor from each of {den_j, den_j'}, {num_ij, num_ij',
@@ -50,12 +51,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property, partial, reduce
+from functools import cache, cached_property, partial
 from math import prod
-from operator import mul
 from typing import Optional, Sequence
 
-from .exactalg import Poly, RatFunc, _identity_holds, _stored, poly_gcd
+from .exactalg import Poly, RatFunc, _exact_quotient, _gcd_parts, _identity_holds, _stored
 from .critical import PolyTuple, ProblemData
 from .liedata import _orbit, cartan_data, langlands_dual, reflect
 from .miura import MiuraOper, TwistContext, TwistedFunc, _canonical, _fold, miura_from_tuple, twist_context
@@ -239,22 +239,18 @@ def nested_bracket(rep: MatrixRep, kind: str, i: int, j: int) -> Entries:
 
 
 # ---------------------------------------------------------------------------
-# Matrices over the twisted field: one twist, a denominator per column
+# Matrices over the twisted field: one twist, reduced entries
 # ---------------------------------------------------------------------------
 
-Column = tuple[list[Poly], Poly]  # (numerators, denominator)
+Column = list[RatFunc]  # the reduced entries of one column
 
 
 class TwistedMatrix:
-    """T^q times a matrix of rational functions, held column by column.
-
-    Column j is (num_j, den_j): polynomials over a denominator of its own.
-    Every column shares the one twist q, canonical in [0, 1)^r; the
-    constructor folds the integer parts of a q that is not canonical yet
-    into the numerators or the denominators.  Entries are not reduced;
-    `rows` and `column` render each one as the twisted function
-    RatFunc(num_ij, den_j) * T^q.
-    """
+    """T^q times a matrix of rational functions: column j is the list of its
+    entries, each a reduced RatFunc, and every column shares the one twist
+    q, canonical in [0, 1)^r (the constructor folds the integer parts of a q
+    that is not canonical yet into the entries).  `rows` and `column` wrap
+    each entry as the twisted function Y_ij * T^q, with no further gcd."""
 
     __slots__ = ("ctx", "q", "cols")
 
@@ -262,42 +258,35 @@ class TwistedMatrix:
         self.ctx, self.q, self.cols = ctx, tuple(Fraction(e) for e in q), list(cols)
         if not _canonical(ctx, self.q):
             self.q, up, down = _fold(ctx, self.q)
-            if up.degree() > 0:
-                self.cols = [([v * up for v in nums], d) for nums, d in self.cols]
-            if down.degree() > 0:
-                self.cols = [(nums, d * down) for nums, d in self.cols]
+            f = RatFunc(up, down)
+            self.cols = [[v * f if v else v for v in col] for col in self.cols]
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (len(self.cols[0][0]) if self.cols else 0, len(self.cols))
+        return (len(self.cols[0]) if self.cols else 0, len(self.cols))
 
     def __matmul__(self, other: "TwistedMatrix") -> "TwistedMatrix":
-        """The product: column j is sum_k other_kj column_k of self over
-        other.den_j, one `_plus` combination."""
+        """The product: column j is sum_k other_kj column_k of self."""
         if self.shape[1] != other.shape[0]:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        zero = ([Poly.zero()] * self.shape[0], Poly.one())
-        cols = [
-            _plus(zero, RatFunc(Poly.one(), den), [(b, col) for b, col in zip(nums, self.cols) if b])
-            for nums, den in other.cols
-        ]
+        cols = []
+        for entries in other.cols:
+            out = [RatFunc.zero()] * self.shape[0]
+            for b, col in zip(entries, self.cols):
+                if b:
+                    out = [acc + b * v if v else acc for acc, v in zip(out, col)]
+            cols.append(out)
         return TwistedMatrix(self.ctx, [a + b for a, b in zip(self.q, other.q)], cols)
 
     def is_zero(self) -> bool:
-        return not any(v for nums, _ in self.cols for v in nums)
-
-    def _entry(self, v: Poly, den: Poly) -> TwistedFunc:
-        return TwistedFunc(self.ctx, self.q, RatFunc(v, den))
+        return not any(v for col in self.cols for v in col)
 
     @property
     def rows(self) -> tuple[tuple[TwistedFunc, ...], ...]:
-        return tuple(
-            tuple(self._entry(nums[i], den) for nums, den in self.cols) for i in range(self.shape[0])
-        )
+        return tuple(zip(*map(self.column, range(len(self.cols)))))
 
     def column(self, j: int) -> list[TwistedFunc]:
-        nums, den = self.cols[j]
-        return [self._entry(v, den) for v in nums]
+        return [TwistedFunc(self.ctx, self.q, v) for v in self.cols[j]]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, TwistedMatrix) and self.ctx == other.ctx and self.rows == other.rows
@@ -306,21 +295,19 @@ class TwistedMatrix:
         return f"TwistedMatrix({self.shape[0]}x{self.shape[1]})"
 
 
-def _reduced(nums: list[Poly], den: Poly) -> Column:
-    """nums / den with the common factor of den and every entry divided out
-    (the gcd taken with the entries of lowest degree first)."""
-    g = den
-    for v in sorted((v for v in nums if v), key=Poly.degree):
-        if g.degree() == 0:
-            break
-        g = poly_gcd(g, v)
-    if g.degree() > 0:
-        nums, den = [v // g for v in nums], den // g
-    return nums, den
+def _over_one_denominator(col: Column) -> tuple[list[Poly], Poly]:
+    """The entries of a column as numerators over den, the monic lcm of
+    their denominators: den gains the cofactor den_i / gcd(den, den_i) of
+    each entry, and numerator i is num_i (den / den_i)."""
+    den = Poly.one()
+    for v in col:
+        if v.den != den and v.den.degree() > 0:
+            den = den * _gcd_parts(den, v.den)[2]
+    return [v.num if v.den == den else v.num * _exact_quotient(den, v.den) for v in col], den
 
 
 # ---------------------------------------------------------------------------
-# Exponentials of square-zero matrices as column updates
+# Exponentials of square-zero matrices as entry updates
 # ---------------------------------------------------------------------------
 
 
@@ -332,70 +319,42 @@ def _square_zero(M: Entries) -> Entries:
     return M
 
 
-def _plus(target: Column, g: RatFunc, terms: Sequence[tuple[Fraction | Poly, Column]]) -> Column:
-    """target + g sum_t s_t column_t, each s_t a scalar or a polynomial, over
-    den(g) times the product of the distinct denominators, gcd-reduced once;
-    target itself when every column_t is zero."""
-    terms = [(s, (col, den)) for s, (col, den) in terms if any(col)]
-    if not terms:
-        return target
-    dens = list(dict.fromkeys([target[1], *(col[1] for _, col in terms)]))
-
-    def cofactor(den: Poly) -> Poly:
-        return reduce(mul, [d for d in dens if d != den], Poly.one())
-
-    lift = cofactor(target[1]) * g.den
-    nums = [v * lift for v in target[0]]
-    for s, (col, den) in terms:
-        lift = cofactor(den) * g.num * s
-        nums = [acc + v * lift if v else acc for acc, v in zip(nums, col)]
-    return _reduced(nums, reduce(mul, dens, g.den))
-
-
 def _times_exp(columns: Sequence[Column], M: Entries, g: RatFunc) -> list[Column]:
-    """The columns of Y exp(g M) for M^2 = 0: Y + g Y M.
-
-    Column b gains g sum_a M_ab column_a of Y and is reduced; the columns
-    where M is zero stay as they are.
-    """
-    sources: dict[int, list[tuple[Fraction, Column]]] = {}
+    """The columns of Y exp(g M) = Y + g Y M for M^2 = 0: each entry (a, b, s)
+    of M adds g s col_a[i] of Y to col_b[i], for every nonzero col_a[i]."""
+    out = [list(col) for col in columns]
     for a, b, s in _square_zero(M):
-        sources.setdefault(b, []).append((s, columns[a]))
-    out = list(columns)
-    for b, terms in sources.items():
-        out[b] = _plus(columns[b], g, terms)
+        gs = g if s == 1 else g * s
+        for i, v in enumerate(columns[a]):
+            if v:
+                out[b][i] = out[b][i] + gs * v
     return out
 
 
 def _exp_times(M: Entries, g: RatFunc, column: Column) -> Column:
-    """exp(g M) v = v + g M v for M^2 = 0 and the column v."""
-    nums, den = column
-    Mv = [Poly.zero()] * len(nums)
+    """exp(g M) v = v + g M v for M^2 = 0 and the column v: each entry
+    (a, b, s) of M with v_b nonzero adds g s v_b to v_a."""
+    out = list(column)
     for a, b, s in _square_zero(M):
-        if nums[b]:
-            Mv[a] = Mv[a] + nums[b] * s
-    return _plus(column, g, [(Fraction(1), (Mv, den))])
+        if column[b]:
+            out[a] = out[a] + (g if s == 1 else g * s) * column[b]
+    return out
 
 
 def exp_generator(M: Entries, g: RatFunc, ctx: TwistContext, n: int) -> TwistedMatrix:
-    """exp(g M) = sum_k g^k M^k / k! for a constant nilpotent n x n matrix M.
-
-    With g = a/b and M^(m+1) = 0 this is (sum_k a^k b^(m-k) M^k / k!) / b^m,
-    built from the entries of the constant matrices M^k / k!.
-    """
+    """exp(g M) = sum_k g^k M^k / k! for a constant nilpotent n x n matrix M,
+    entry by entry from the constant matrices M^k / k!."""
     powers = [tuple((k, k, 1) for k in range(n))]  # M^k / k!, up to the first zero power
     while powers[-1]:
         if len(powers) > n:
             raise ValueError("matrix is not nilpotent")
         powers.append(tuple((a, b, Fraction(s, len(powers))) for a, b, s in _product(powers[-1], M)))
-    m = len(powers) - 2
-    cols = [[Poly.zero()] * n for _ in range(n)]
+    cols = [[RatFunc.zero()] * n for _ in range(n)]
     for k, P in enumerate(powers[:-1]):
-        scalar = g.num**k * g.den ** (m - k)
+        gk = g**k
         for a, b, s in P:
-            cols[b][a] = cols[b][a] + scalar * s
-    den = g.den**m
-    return TwistedMatrix(ctx, (0,) * ctx.rank, [(col, den) for col in cols])
+            cols[b][a] = cols[b][a] + gk * s
+    return TwistedMatrix(ctx, (0,) * ctx.rank, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +365,8 @@ def exp_generator(M: Entries, g: RatFunc, ctx: TwistContext, n: int) -> TwistedM
 def apply_miura(D: MiuraOper, rep: MatrixRep, Y: TwistedMatrix) -> TwistedMatrix:
     """Y' + (sum_i F_i + sum_j c_j H_j) Y, which is zero iff D Y = 0.
 
-    For Y = T^q num/den, (T^q)' = lambda T^q with lambda = sum_l q_l T_l'/T_l.
+    With column j of Y as T^q num_j/den_j (`_over_one_denominator`),
+    (T^q)' = lambda T^q with lambda = sum_l q_l T_l'/T_l.
     With L the product of the distinct denominators of the terms of lambda
     and of the c_j, and M = sum_i F_i + sum_j c_j H_j, column j of the
     result is T^q R_j / (L den_j^2) with
@@ -418,7 +378,7 @@ def apply_miura(D: MiuraOper, rep: MatrixRep, Y: TwistedMatrix) -> TwistedMatrix
     groups, layout = _residual_groups(D, rep, Y, _poly_part)
     R = _residuals(rep.oper_rows, layout, *groups)
     L, n = prod(g[0] for g in groups[2:]), rep.dim
-    cols = [(R[n * j : n * j + n], L * den * den) for j, (_, den) in enumerate(Y.cols)]
+    cols = [[RatFunc(v, L * den * den) for v in R[n * j : n * j + n]] for j, den in enumerate(groups[0][::2])]
     return TwistedMatrix(Y.ctx, Y.q, cols)
 
 
@@ -429,15 +389,16 @@ def _poly_part(p: Poly, derivative: bool = False, scale=1) -> Poly:
 
 def _residual_groups(D: MiuraOper, rep: MatrixRep, Y: TwistedMatrix, part) -> tuple[list[list], tuple]:
     """The factors of `_residuals` through `part` (`_poly_part` or
-    `exactalg._stored`): [den_j, den_j' for each j], [num_j, then num_j' for
-    each j], and one group per distinct denominator d_s of the terms of
-    lambda and of the c_j: d_s, the q_l T_l' with T_l = d_s and the numerators
-    of the c_j over d_s.  The layout places each term of lambda and each c_j
-    in its group."""
+    `exactalg._stored`), each column over one denominator: [den_j, den_j' for
+    each j], [num_j, then num_j' for each j], and one group per distinct
+    denominator d_s of the terms of lambda and of the c_j: d_s, the q_l T_l'
+    with T_l = d_s and the numerators of the c_j over d_s.  The layout places
+    each term of lambda and each c_j in its group."""
     if rep.dim != Y.shape[0]:
         raise ValueError("representation and solution dimensions differ")
-    dens = [x for _, den in Y.cols for x in (part(den), part(den, True))]
-    nums = [x for col, _ in Y.cols for x in [*map(part, col), *(part(v, True) for v in col)]]
+    columns = [_over_one_denominator(col) for col in Y.cols]
+    dens = [x for _, den in columns for x in (part(den), part(den, True))]
+    nums = [x for col, _ in columns for x in [*map(part, col), *(part(v, True) for v in col)]]
     terms = [(T, e) for T, e in zip(Y.ctx.T, Y.q) if e]
     denominators = list(dict.fromkeys([T for T, _ in terms] + [c.den for c in D.h_coords]))
     oper = [[part(d)] for d in denominators]
@@ -497,7 +458,8 @@ def _weight_column(rep: MatrixRep, k: int, entries: Sequence[Poly], up: Poly, do
             up = up * entry ** -H[k]
         elif H[k] > 0:
             down = down * entry ** H[k]
-    return [Poly.zero()] * k + [up] + [Poly.zero()] * (rep.dim - 1 - k), down
+    zero = RatFunc.zero()
+    return [zero] * k + [RatFunc(up, down)] + [zero] * (rep.dim - 1 - k)
 
 
 def _weight_diagonal(ctx: TwistContext, rep: MatrixRep, entries: Sequence[Poly]) -> TwistedMatrix:
@@ -522,7 +484,7 @@ def _verify(D: MiuraOper, rep: MatrixRep, Y: TwistedMatrix, label: str) -> None:
     if _identity_holds(partial(_residuals, rep.oper_rows, layout), groups):
         return
     R = apply_miura(D, rep, Y)
-    i, j = next((i, j) for j, (nums, _) in enumerate(R.cols) for i, v in enumerate(nums) if v)
+    i, j = next((i, j) for j, col in enumerate(R.cols) for i, v in enumerate(col) if v)
     raise VerificationError(f"{label}: D Y != 0 at entry {i, j}: {R.column(j)[i]!r}")
 
 

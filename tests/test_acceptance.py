@@ -276,9 +276,9 @@ def _conjugation_identity_holds(y, p, rep) -> bool:
                 num = num * y[l - 1] ** e
             else:
                 den = den * y[l - 1] ** (-e)
-        cols = [([Poly.zero()] * rep.dim, den) for _ in range(rep.dim)]
+        cols = [[RatFunc.zero()] * rep.dim for _ in range(rep.dim)]
         for a, b, s in rep.F[j - 1]:
-            cols[b][0][a] = num * s
+            cols[b][a] = RatFunc(num * s, den)
         M = TwistedMatrix(ctx, [0] * p.rank, cols)
         rhs = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(rhs, (h @ M).rows)]
     return all((a + b).is_zero() for ra, rb in zip(lhs, rhs) for a, b in zip(ra, rb))

@@ -3,12 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from operpop import exactalg
 from operpop.exactalg import (
     Poly,
     RatFunc,
     _Norm,
+    _exact_quotient,
+    _gcd_parts,
     _identity_holds,
     _quotient_constant,
     _stored,
@@ -140,7 +143,7 @@ def assert_normal(p):
 def test_every_operation_returns_the_normal_form(f, g, c):
     q, r = divmod(f, g)
     results = [f + g, f - g, -f, f * g, f * c, c * f, q, r, f.derivative(), f.antiderivative(), g.monic()]
-    results += [poly_gcd(f, g), wronskian(f, g)]
+    results += [poly_gcd(f, g), *_gcd_parts(f, g), wronskian(f, g)]
     if c:
         # scalars that share factors with the content and the denominator
         back = f * c * (1 / F(c))
@@ -149,6 +152,29 @@ def test_every_operation_returns_the_normal_form(f, g, c):
     for p in results:
         assert_normal(p)
         assert Poly(p.coeffs) == p
+        assert hash(p) == hash(p) == hash(Poly(p.coeffs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(NORMAL_POLYS, NORMAL_POLYS.filter(bool))
+def test_exact_quotient_of_a_multiple(q, h):
+    h = h.monic()
+    out = _exact_quotient(q * h, h)
+    assert out == q
+    assert_normal(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(NORMAL_POLYS, NORMAL_POLYS.filter(lambda h: h.degree() > 0), NORMAL_POLYS.filter(bool))
+# x = (x + 1/2) - 1/2: the numerators [0, 1] over [1, 2] leave 1 at the top
+# step and nothing below it
+@example(Poly.one(), Poly([F(1, 2), 1]), Poly([F(-1, 2)]))
+def test_exact_quotient_with_a_remainder_is_none(q, h, r):
+    h = h.monic()
+    r = Poly(r.coeffs[: h.degree()])
+    assume(r)
+    assert 0 <= r.degree() < h.degree()
+    assert _exact_quotient(q * h + r, h) is None
 
 
 FRACTIONS = st.fractions() | st.builds(F, st.integers(-(2**200), 2**200), st.integers(1, 2**200))
@@ -218,9 +244,12 @@ class TestGcdCertificate:
         # x - 3: the candidate fails the trial division by x + xi - 6
         xi = 2**20
         f, g = X - Poly.const(3), X + Poly.const(xi - 6)
+        trials = []
+        exact = exactalg._exact_quotient
+        monkeypatch.setattr(exactalg, "_exact_quotient", lambda a, h: trials.append((a, h, q := exact(a, h))) or q)
         calls = euclid_steps(monkeypatch)
         assert poly_gcd(f, g) == Poly.one()
-        assert (g, f) in calls  # the trial division that fails
+        assert (g, f, None) in trials  # the trial division that fails
         assert (f, g) in calls  # the first step of Euclid over Q
 
     def test_common_root_near_the_root_bound(self):
@@ -390,6 +419,12 @@ class TestRatFunc:
     def test_pow_negative(self):
         q = RatFunc(Poly([1, 1]), X)
         assert q ** (-2) * q**2 == RatFunc.one()
+
+    def test_truth_is_being_nonzero(self):
+        q = RatFunc(Poly([1, 1]), X)
+        assert q and RatFunc.one() and not RatFunc.zero() and not RatFunc(Poly.zero(), X)
+        assert not q - q
+        assert [v for v in (RatFunc.zero(), q) if v] == [q]
 
 
 class TestLogDerivative:

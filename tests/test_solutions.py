@@ -35,13 +35,13 @@ X = Poly.x()
 
 
 def from_rows(ctx, q, rows, den):
-    """T^q rows / den: every column over the one den."""
-    return TwistedMatrix(ctx, q, [(list(col), den) for col in zip(*rows)])
+    """T^q rows / den: every entry over the one den."""
+    return TwistedMatrix(ctx, q, [[RatFunc(v, den) for v in col] for col in zip(*rows)])
 
 
 def unit_columns(ctx, n):
     """The n x n identity with twist 0."""
-    cols = [([Poly.const(int(i == j)) for i in range(n)], Poly.one()) for j in range(n)]
+    cols = [[RatFunc(int(i == j)) for i in range(n)] for j in range(n)]
     return TwistedMatrix(ctx, (0,) * ctx.rank, cols)
 
 
@@ -304,13 +304,13 @@ class TestSolutionA:
         calls = []
         fold = solutions._fold
         monkeypatch.setattr(solutions, "_fold", lambda *args: calls.append(args) or fold(*args))
-        one = [([Poly.one()], Poly.one())]
+        one = [[RatFunc.one()]]
         Y = TwistedMatrix(ctx, [F(1, 2)], one)
         assert calls == [] and Y.q == (F(1, 2),) and Y.cols == one
         Y = TwistedMatrix(ctx, [F(3, 2)], one)  # T^(3/2) = T^(1/2) T
-        assert len(calls) == 1 and Y.q == (F(1, 2),) and Y.cols == [([ctx.T[0]], Poly.one())]
+        assert len(calls) == 1 and Y.q == (F(1, 2),) and Y.cols == [[RatFunc(ctx.T[0])]]
         Y = TwistedMatrix(ctx, [F(-1, 2)], one)  # T^(-1/2) = T^(1/2) / T
-        assert Y.q == (F(1, 2),) and Y.cols == [([Poly.one()], ctx.T[0])]
+        assert Y.q == (F(1, 2),) and Y.cols == [[RatFunc(Poly.one(), ctx.T[0])]]
         with pytest.raises(ValueError, match="not in"):
             TwistedMatrix(ctx, [F(1, 3)], one)
         # T_2 = 1: the twist at node 2 is trivial and folds to 0
@@ -588,10 +588,10 @@ def test_an_entry_plus_one_is_caught(name, request, monkeypatch):
     weight_column = solutions._weight_column
 
     def perturbed(rep, k, entries, up, down):
-        nums, den = weight_column(rep, k, entries, up, down)
+        col = weight_column(rep, k, entries, up, down)
         if k == rep.dim - 1:
-            nums[k] = nums[k] + den
-        return nums, den
+            col[k] = col[k] + 1
+        return col
 
     monkeypatch.setattr(solutions, "_weight_column", perturbed)
     matrix = solution_A if p.cartan.family == "A" else solution_BC
@@ -620,14 +620,13 @@ def builder_outputs():
 @settings(max_examples=120, deadline=None)
 @given(data=st.data(), c=st.fractions(max_denominator=5), m=st.integers(0, 4))
 def test_verify_raises_exactly_when_the_residual_is_nonzero(data, c, m):
-    # num_ij + c x^m den_j adds c x^m T^q at entry (i, j); c = 0 changes nothing
+    # Y_ij + c x^m adds c x^m T^q at entry (i, j); c = 0 changes nothing
     D, rep, Y = data.draw(st.sampled_from(builder_outputs()))
     j = data.draw(st.integers(0, Y.shape[1] - 1))
     i = data.draw(st.integers(0, Y.shape[0] - 1))
     cols = list(Y.cols)
-    nums, den = list(cols[j][0]), cols[j][1]
-    nums[i] = nums[i] + X**m * den * c
-    cols[j] = (nums, den)
+    cols[j] = list(cols[j])
+    cols[j][i] = cols[j][i] + X**m * c
     Y = TwistedMatrix(Y.ctx, Y.q, cols)
     try:
         solutions._verify(D, rep, Y, "perturbed")
@@ -765,5 +764,5 @@ def test_builders_make_no_matrix_product(monkeypatch, a3_problem, a3_tuple, b2_p
 def test_weight_diagonal_columns_keep_their_own_denominators(a2_problem, a2_tuple):
     rep = rep_minuscule("A", 2)
     W = solutions._weight_diagonal(twist_context(a2_problem), rep, a2_tuple)
-    dens = [den for _, den in W.cols]
+    dens = [col[k].den for k, col in enumerate(W.cols)]
     assert len(set(dens)) > 1

@@ -18,7 +18,7 @@ from sympy.integrals.rationaltools import ratint
 
 from conftest import sympy_diag, sympy_matrix
 from operpop.cli import main
-from operpop.exactalg import Poly, RatFunc, poly_gcd, squarefree, wronskian, wronskian_partner
+from operpop.exactalg import Poly, RatFunc, _gcd_parts, poly_gcd, squarefree, wronskian, wronskian_partner
 from operpop.liedata import cartan_data, langlands_dual
 from operpop.solutions import rep_minuscule
 from test_cli import SOLUTION_CORPUS, _solution_argv
@@ -167,6 +167,24 @@ def test_calculus_evaluation_and_monic_against_sympy(f, v):
     if not f.is_zero():
         assert qq(f.monic()) == qq(f).monic()
         assert f.monic().is_monic()
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly_pairs())
+@example((Poly([F(1, P), 0, F(1, P)]), Poly([0, 1])))
+@example((Poly([0, 0, 1]), Poly.zero()))
+@example((Poly.zero(), Poly.zero()))
+def test_gcd_parts_against_sympy(pair):
+    # the monic gcd and its two cofactors: h (f/h) = f and h (g/h) = g
+    f, g = pair
+    h, fh, gh = _gcd_parts(f, g)
+    expected = qq(f).gcd(qq(g))
+    if expected.is_zero:
+        assert h.is_zero()
+    else:
+        assert h.is_monic() and qq(h) == expected.monic()
+    assert h * fh == f and h * gh == g
+    assert qq(fh) * qq(h) == qq(f) and qq(gh) * qq(h) == qq(g)
 
 
 @settings(max_examples=150, deadline=None)

@@ -82,6 +82,11 @@ MUTANTS = (
         "verify-check", "solutions.py", "    if _identity_holds(partial(_residuals",
         "    if True or _identity_holds(partial(_residuals", ("tests/test_solutions.py", "tests/test_cli.py"),
     ),
+    # one entry's numerator left off the column's common denominator
+    Mutant(
+        "common-denominator-skips-a-cofactor", "solutions.py", "[v.num if v.den == den else",
+        "[v.num if v.den == den or v is col[-1] else", ("tests/test_solutions.py",),
+    ),
     Mutant("M13", "critical.py", "            if v in p.points:", "            if False:", ("tests/test_critical.py",)),
     Mutant(
         "oper-pairing-check", "miura.py", "        if not _identity_holds(partial(_pairing_residual",
@@ -118,7 +123,15 @@ MUTANTS = (
         "rhs-sign", "solutions.py", "RatFunc(step.rhs, entries[step.index - 1] * step.diagonal)",
         "RatFunc(-step.rhs, entries[step.index - 1] * step.diagonal)", ("tests/test_solutions.py",),
     ),
-    Mutant("gcd-no-trial-division", "exactalg.py", "        if not f % h and not g % h:", "        if True:", EXACT),
+    # the exact quotient: a step whose top coefficient lc(h) does not divide, and the final remainder
+    Mutant(
+        "gcd-no-trial-division", "exactalg.py", "        if r:\n            return None\n",
+        "        if False:\n            return None\n", EXACT,
+    ),
+    Mutant(
+        "exact-quotient-no-remainder", "exactalg.py", "    if any(rem[:n]):\n        return None\n",
+        "    if False:\n        return None\n", EXACT,
+    ),
     Mutant(
         "gcd-xi-4", "exactalg.py", "k = (1 + min(max(map(abs, F)), max(map(abs, G)))).bit_length() + 17", "k = 2",
         EXACT,
