@@ -410,21 +410,6 @@ def _value_at_power_of_two(nums: list[int], k: int) -> int:
     return acc
 
 
-Stored = tuple[list[int], int]  # integer numerators (ascending) over a positive denominator
-
-
-def _stored(p: Poly, derivative: bool = False, scale: ScalarLike = 1) -> Stored:
-    """scale * p, or scale * p' as [k a_k] over the denominator of p, as
-    numerators and a denominator (not normalized)."""
-    a = p._num
-    if derivative:
-        a = [k * a[k] for k in range(1, len(a))]
-    if scale == 1:
-        return a, p._den
-    s = as_scalar(scale)
-    return [s.numerator * c for c in a], p._den * s.denominator
-
-
 class _Norm(int):
     """A bound on a 1-norm: sums and differences of bounds add, products
     multiply and an int factor counts by its modulus, so a formula over
@@ -446,20 +431,20 @@ class _Norm(int):
         return self
 
 
-def _identity_holds(formula: Callable[..., list], groups: Sequence[Sequence[Stored]]) -> bool:
+def _identity_holds(formula: Callable[..., list], groups: Sequence[Sequence[Poly]]) -> bool:
     """True iff every entry of formula(*groups) is the zero polynomial,
     decided at one x = 2^k (the identity route of the module docstring).
 
-    `formula` takes one list of values per group, one value per `_stored`
-    pair, and returns entries that are sums of products with exactly one
-    factor from every group and int constants.  Each group is scaled to
-    one integer denominator, and the formula on the factors' 1-norms
-    (`_Norm`) bounds every entry's norm.
+    `formula` takes one list of values per group of Poly factors and
+    returns entries that are sums of products with exactly one factor from
+    every group and int constants.  Each group is scaled to the lcm of its
+    factors' denominators, and the formula on the scaled numerators'
+    1-norms (`_Norm`) bounds every entry's norm.
     """
     scaled = []
     for group in groups:
-        m = lcm(*(den for _, den in group))
-        scaled.append([(nums, m // den) for nums, den in group])
+        m = lcm(*(f._den for f in group))
+        scaled.append([(f._num, m // f._den) for f in group])
     bound = max(formula(*[[_Norm(s * sum(map(abs, nums))) for nums, s in g] for g in scaled]), default=0)
     k = (bound + 1).bit_length()  # 2^k > bound + 1
     values = [[s * _value_at_power_of_two(nums, k) for nums, s in g] for g in scaled]
@@ -657,7 +642,7 @@ class RatFunc:
         return f"RatFunc({self})"
 
     def __str__(self) -> str:
-        if self.den.degree() == 0 and self.den.coeff(0) == 1:
+        if self.den.degree() == 0:  # a monic constant is 1
             return str(self.num)
         return f"({self.num})/({self.den})"
 

@@ -39,7 +39,7 @@ from functools import partial
 from math import prod
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
-from .exactalg import Poly, RatFunc, _identity_holds, _stored, log_derivative
+from .exactalg import Poly, RatFunc, _identity_holds, log_derivative
 from .critical import PolyTuple, ProblemData, fertility_direction, wronskian_rhs
 from .liedata import CartanData, langlands_dual
 from .population import ReproductionPath
@@ -88,8 +88,7 @@ def miura_from_tuple(y: PolyTuple, p: ProblemData) -> MiuraOper:
         # the cross-multiplied pairing identity of the module docstring
         links = [(a, coords[j]) for j, a in enumerate(p.cartan.a[i - 1]) if a]
         W, yi = wronskian_rhs(y, i, p), y[i - 1]
-        groups = [[_stored(c.num), _stored(c.den)] for _, c in links]
-        groups += [[_stored(W), _stored(W, True)], [_stored(yi), _stored(yi, True)]]
+        groups = [[c.num, c.den] for _, c in links] + [[W, W.derivative()], [yi, yi.derivative()]]
         if not _identity_holds(partial(_pairing_residual, [a for a, _ in links]), groups):
             raise AssertionError(f"oper pairing invariant failed in direction {i}")
     return MiuraOper(dual=langlands_dual(p.cartan), h_coords=coords, provenance=(y, p))
@@ -98,7 +97,7 @@ def miura_from_tuple(y: PolyTuple, p: ProblemData) -> MiuraOper:
 def _pairing_residual(a: list[int], *groups: list) -> list:
     """[(sum_j a_j num_j prod_{k != j} den_k) W y_i - (2 y_i' W - W' y_i) prod_k den_k]
     from the groups [num_k, den_k] of the linked coordinates, [W, W'] and
-    [y_i, y_i'], in any domain of `_identity_holds`."""
+    [y_i, y_i'], on Poly factors or their values in `_identity_holds`."""
     *links, (W, dW), (yi, dyi) = groups
     dens = [den for _, den in links]
     lhs = sum(a_j * num * prod(dens[:j] + dens[j + 1 :]) for j, (a_j, (num, _)) in enumerate(zip(a, links)))

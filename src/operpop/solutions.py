@@ -14,11 +14,11 @@ reduced once when it is built.
 Every factor the builders exponentiate is a root vector of a minuscule
 representation (an E_i, an F_i or a nested bracket of them).  Each weight
 pairs with each coroot in {-1, 0, 1}, so no root string through a weight
-is longer than two and M^2 = 0: exp(g M) = 1 + g M.  Right-multiplying by
-it changes only the entries col_b[i] += g M_ab col_a[i] with M_ab and
-col_a[i] nonzero; left-multiplying a column changes only v_a += g M_ab v_b.
-The update checks M^2 = 0 and raises otherwise, so it never returns a
-wrong product, and no builder forms an n x n product.
+is longer than two and M^2 = 0: exp(g M) = 1 + g M.  Every builder forms
+each column as such factors applied from the left to one column, and
+left-multiplying a column changes only v_a += g M_ab v_b with M_ab and v_b
+nonzero.  The update checks M^2 = 0 and raises otherwise, so it never
+returns a wrong product, and no builder forms an n x n product.
 
 Every builder re-verifies D Y = 0 before returning: with column j over
 the monic lcm den_j of its entries' denominators, it is the polynomial
@@ -41,7 +41,8 @@ entry.  Solution shapes:
   brackets F_{i,j} fed by the diagonal sequences along [i, ..., r], an
   extra half-coefficient factor on [[F_r, F_{i,r-1}], F_{i,r-1}] and
   trailing factors fed by the folded sl_2r diagonal sequences, continued
-  from the native ones.
+  from the native ones; column k is Y_1 ... Y_r e_k, its factors applied
+  right to left, with the entries of Y_0 multiplied in last.
 
 All diagonal sequences are exactly calibrated (population.calibrated_sequence):
 W(prev, new) = rhs on the nose, so g = -log'(new / prev) = rhs / (prev new).
@@ -55,7 +56,7 @@ from functools import cache, cached_property, partial
 from math import prod
 from typing import Optional, Sequence
 
-from .exactalg import Poly, RatFunc, _exact_quotient, _gcd_parts, _identity_holds, _stored
+from .exactalg import Poly, RatFunc, _exact_quotient, _gcd_parts, _identity_holds
 from .critical import PolyTuple, ProblemData
 from .liedata import _orbit, cartan_data, langlands_dual, reflect
 from .miura import MiuraOper, TwistContext, TwistedFunc, _canonical, _fold, miura_from_tuple, twist_context
@@ -319,18 +320,6 @@ def _square_zero(M: Entries) -> Entries:
     return M
 
 
-def _times_exp(columns: Sequence[Column], M: Entries, g: RatFunc) -> list[Column]:
-    """The columns of Y exp(g M) = Y + g Y M for M^2 = 0: each entry (a, b, s)
-    of M adds g s col_a[i] of Y to col_b[i], for every nonzero col_a[i]."""
-    out = [list(col) for col in columns]
-    for a, b, s in _square_zero(M):
-        gs = g if s == 1 else g * s
-        for i, v in enumerate(columns[a]):
-            if v:
-                out[b][i] = out[b][i] + gs * v
-    return out
-
-
 def _exp_times(M: Entries, g: RatFunc, column: Column) -> Column:
     """exp(g M) v = v + g M v for M^2 = 0 and the column v: each entry
     (a, b, s) of M with v_b nonzero adds g s v_b to v_a."""
@@ -375,41 +364,35 @@ def apply_miura(D: MiuraOper, rep: MatrixRep, Y: TwistedMatrix) -> TwistedMatrix
     so D Y = 0 is the polynomial identity R_j = 0 for every column
     (`_residuals`, which `_verify` decides without expanding it).
     """
-    groups, layout = _residual_groups(D, rep, Y, _poly_part)
+    groups, layout = _residual_groups(D, rep, Y)
     R = _residuals(rep.oper_rows, layout, *groups)
     L, n = prod(g[0] for g in groups[2:]), rep.dim
     cols = [[RatFunc(v, L * den * den) for v in R[n * j : n * j + n]] for j, den in enumerate(groups[0][::2])]
     return TwistedMatrix(Y.ctx, Y.q, cols)
 
 
-def _poly_part(p: Poly, derivative: bool = False, scale=1) -> Poly:
-    """scale * p or scale * p': `exactalg._stored` for the polynomial domain."""
-    return (p.derivative() if derivative else p) * scale
-
-
-def _residual_groups(D: MiuraOper, rep: MatrixRep, Y: TwistedMatrix, part) -> tuple[list[list], tuple]:
-    """The factors of `_residuals` through `part` (`_poly_part` or
-    `exactalg._stored`), each column over one denominator: [den_j, den_j' for
-    each j], [num_j, then num_j' for each j], and one group per distinct
-    denominator d_s of the terms of lambda and of the c_j: d_s, the q_l T_l'
-    with T_l = d_s and the numerators of the c_j over d_s.  The layout places
-    each term of lambda and each c_j in its group."""
+def _residual_groups(D: MiuraOper, rep: MatrixRep, Y: TwistedMatrix) -> tuple[list[list[Poly]], tuple]:
+    """The Poly factors of `_residuals`, each column over one denominator:
+    [den_j, den_j' for each j], [num_j, then num_j' for each j], and one
+    group per distinct denominator d_s of the terms of lambda and of the c_j:
+    d_s, the q_l T_l' with T_l = d_s and the numerators of the c_j over d_s.
+    The layout places each term of lambda and each c_j in its group."""
     if rep.dim != Y.shape[0]:
         raise ValueError("representation and solution dimensions differ")
     columns = [_over_one_denominator(col) for col in Y.cols]
-    dens = [x for _, den in columns for x in (part(den), part(den, True))]
-    nums = [x for col, _ in columns for x in [*map(part, col), *(part(v, True) for v in col)]]
+    dens = [x for _, den in columns for x in (den, den.derivative())]
+    nums = [x for col, _ in columns for x in [*col, *(v.derivative() for v in col)]]
     terms = [(T, e) for T, e in zip(Y.ctx.T, Y.q) if e]
     denominators = list(dict.fromkeys([T for T, _ in terms] + [c.den for c in D.h_coords]))
-    oper = [[part(d)] for d in denominators]
+    oper = [[d] for d in denominators]
 
     def place(d: Poly, x) -> tuple[int, int]:
         s = denominators.index(d)
         oper[s].append(x)
         return s, len(oper[s]) - 1
 
-    lam = [place(T, part(T, True, e)) for T, e in terms]
-    coords = [place(c.den, part(c.num)) for c in D.h_coords]
+    lam = [place(T, T.derivative() * e) for T, e in terms]
+    coords = [place(c.den, c.num) for c in D.h_coords]
     return [dens, nums, *oper], (lam, coords)
 
 
@@ -418,7 +401,8 @@ def _residuals(rows, layout, dens: list, nums: list, *oper: list) -> list:
     column by column, LM = L lambda + L M built from the groups of
     `_residual_groups`: L = prod_s d_s, and each term of lambda or c_j
     times L is its numerator times the other d_s.  Every term has one factor
-    from each group, in any domain of `_identity_holds`."""
+    from each group, so it runs on the Poly factors and on their integer
+    values in `_identity_holds` alike."""
     lam, coords = layout
     d = [g[0] for g in oper]
     L = prod(d)
@@ -480,7 +464,7 @@ def _weight_diagonal(ctx: TwistContext, rep: MatrixRep, entries: Sequence[Poly])
 def _verify(D: MiuraOper, rep: MatrixRep, Y: TwistedMatrix, label: str) -> None:
     """Raise VerificationError unless D Y = 0, decided at one x = 2^k; only a
     failure expands the residual, to name its first nonzero entry."""
-    groups, layout = _residual_groups(D, rep, Y, _stored)
+    groups, layout = _residual_groups(D, rep, Y)
     if _identity_holds(partial(_residuals, rep.oper_rows, layout), groups):
         return
     R = apply_miura(D, rep, Y)
@@ -540,8 +524,9 @@ def solution_BC(y: PolyTuple, p: ProblemData) -> TwistedMatrix:
     """The Sp(2r)-valued solution for a type B critical tuple.
 
     Uses the native diagonal sequences and the folded sl_2r ones continued
-    from them; each factor exp(g M) is 1 + g M, applied as a column
-    update.  Verifies D Y = 0 exactly before returning.
+    from them; each factor exp(g M) is 1 + g M, applied to each unit column
+    from the left, and the weight diagonal last.  Verifies D Y = 0 exactly
+    before returning.
     """
     if p.cartan.family != "B":
         raise UnsupportedTypeError("solution_BC needs a type B problem")
@@ -550,23 +535,28 @@ def solution_BC(y: PolyTuple, p: ProblemData) -> TwistedMatrix:
     D = miura_from_tuple(y, p)
     ctx = twist_context(p)
     u, pA = fold_to_A(y, p)
-    W = _weight_diagonal(ctx, rep, y)
-    columns = W.cols
+    factors = []  # (M, g) of each exp(g M) of Y_1 ... Y_r, left to right
     for i in range(1, r):
         bsteps = calibrated_sequence(y, list(range(i, r + 1)), p)
         # on nodes i..r-1 the folded relations are the native ones and the
         # mirror entries are untouched: continue the folded sequence from there
         asteps = calibrated_sequence(bsteps[r - i - 1].entries + u[r:], list(range(r, 2 * r - i)), pA)
         for j in range(i, r):
-            g = RatFunc(bsteps[j - i].diagonal, y[j - 1])
-            columns = _times_exp(columns, nested_bracket(rep, "F", i, j), g)
+            factors.append((nested_bracket(rep, "F", i, j), RatFunc(bsteps[j - i].diagonal, y[j - 1])))
         g_half = RatFunc(bsteps[r - i].diagonal, y[r - 1]) * Fraction(1, 2)
-        columns = _times_exp(columns, nested_bracket(rep, "double", i, r), g_half)
+        factors.append((nested_bracket(rep, "double", i, r), g_half))
         for j in range(r, 2 * r - i):
             g = RatFunc(asteps[j - r].diagonal, y[2 * r - j - 1])
-            columns = _times_exp(columns, nested_bracket(rep, "Fstar", i, 2 * r - j), g)
+            factors.append((nested_bracket(rep, "Fstar", i, 2 * r - j), g))
     last = calibrated_sequence(y, [r], p)
-    columns = _times_exp(columns, rep.F[r - 1], RatFunc(last[0].diagonal, y[r - 1]))
+    factors.append((rep.F[r - 1], RatFunc(last[0].diagonal, y[r - 1])))
+    W = _weight_diagonal(ctx, rep, y)
+    columns, zero, one = [], RatFunc.zero(), RatFunc.one()
+    for k in range(rep.dim):
+        column = [zero] * k + [one] + [zero] * (rep.dim - 1 - k)
+        for M, g in reversed(factors):  # exp(g_1 M_1) ... exp(g_m M_m) e_k, right to left
+            column = _exp_times(M, g, column)
+        columns.append([W.cols[i][i] * v if v else v for i, v in enumerate(column)])
     Y = TwistedMatrix(ctx, W.q, columns)
     _verify(D, rep, Y, "solution_BC")
     return Y

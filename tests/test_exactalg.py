@@ -14,7 +14,6 @@ from operpop.exactalg import (
     _gcd_parts,
     _identity_holds,
     _quotient_constant,
-    _stored,
     integrate_shape,
     log_derivative,
     poly_ext_gcd,
@@ -290,8 +289,8 @@ class TestIdentityByEvaluation:
         # bound tells it from zero
         S = Poly([F(1, 3), -1, 2])
         f = X - Poly.const(2**j)
-        assert not _identity_holds(lambda a, b: [a[0] * b[0]], [[_stored(f)], [_stored(S)]])
-        assert not _identity_holds(difference, [[_stored(f), _stored(Poly.zero())], [_stored(S), _stored(S)]])
+        assert not _identity_holds(lambda a, b: [a[0] * b[0]], [[f], [S]])
+        assert not _identity_holds(difference, [[f, Poly.zero()], [S, S]])
 
     def test_norms_read_every_sign_as_plus(self):
         a, b = _Norm(3), _Norm(5)
@@ -300,15 +299,16 @@ class TestIdentityByEvaluation:
 
     def test_groups_scale_to_integers(self):
         f, g, h = Poly([F(1, 2), F(2, 3)]), Poly([F(-5, 7), 0, 3]), Poly([1, F(1, 11)])
-        groups = [[_stored(f), _stored(f * h)], [_stored(g * h), _stored(g)]]
-        assert _identity_holds(difference, groups)
+        assert _identity_holds(difference, [[f, f * h], [g * h, g]])
 
-    def test_stored_derivative_and_scale(self):
+    def test_derivative_and_scale_factors(self):
+        # each factor against its coefficients scaled by hand
         f = Poly([F(1, 6), F(-3, 4), 0, F(5, 2)])
-        one = [_stored(Poly.one()), _stored(Poly.one())]
-        assert _identity_holds(difference, [[_stored(f, True, 3), _stored(f.derivative() * 3)], one])
-        assert not _identity_holds(difference, [[_stored(f, True, 2), _stored(f.derivative() * 3)], one])
-        assert _identity_holds(difference, [[_stored(f, scale=-2), _stored(f * -2)], one])
+        one = [Poly.one(), Poly.one()]
+        three_df = Poly([3 * k * c for k, c in enumerate(f.coeffs) if k])
+        assert _identity_holds(difference, [[f.derivative() * 3, three_df], one])
+        assert not _identity_holds(difference, [[f.derivative() * 2, three_df], one])
+        assert _identity_holds(difference, [[f * -2, Poly([-2 * c for c in f.coeffs])], one])
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -319,8 +319,7 @@ class TestIdentityByEvaluation:
     )
     def test_matches_the_expanded_difference(self, f, g, h, e):
         # f (g h) - (f h) (g + e) is zero iff f e h is
-        groups = [[_stored(f), _stored(f * h)], [_stored(g * h), _stored(g + e)]]
-        assert _identity_holds(difference, groups) == (f * (g * h) - (f * h) * (g + e)).is_zero()
+        assert _identity_holds(difference, [[f, f * h], [g * h, g + e]]) == (f * (g * h) - (f * h) * (g + e)).is_zero()
 
 
 class TestWronskian:

@@ -345,16 +345,14 @@ def nested_bracket_solution_A(y, p):
     """Y = Y_0 Y_1 ... Y_r, Y_0 the weight/T diagonal and Y_i the commuting
     product of exp(g_ij F_{i,j}), g_ij = d_j / y_j for the diagonal sequence
     d_i, ..., d_r along [i, ..., r]: solution_A's formula before it took the
-    lowest-weight columns, kept as a reference."""
+    lowest-weight columns, kept as a reference and formed as n x n products."""
     r, rep, ctx = p.rank, rep_minuscule(p.cartan.family, p.rank), twist_context(p)
-    W = solutions._weight_diagonal(ctx, rep, y)
-    columns = W.cols
+    Y = solutions._weight_diagonal(ctx, rep, y)
     for i in range(1, r + 1):
         steps = calibrated_sequence(y, list(range(i, r + 1)), p)
         for j, step in zip(range(i, r + 1), steps):
-            g = RatFunc(step.diagonal, y[j - 1])
-            columns = solutions._times_exp(columns, nested_bracket(rep, "F", i, j), g)
-    return TwistedMatrix(ctx, W.q, columns)
+            Y = Y @ exp_generator(nested_bracket(rep, "F", i, j), RatFunc(step.diagonal, y[j - 1]), ctx, rep.dim)
+    return Y
 
 
 class TestFoldToA:
@@ -376,6 +374,31 @@ class TestFoldToA:
         assert is_fertile(b2_tuple, b2_problem)
         u, pA = fold_to_A(b2_tuple, b2_problem)
         assert is_fertile(u, pA)
+
+
+def nested_bracket_solution_BC(y, p):
+    """Y = Y_0 Y_1 ... Y_r of the module docstring as n x n products: Y_0 the
+    weight/T diagonal; Y_i, i < r, the product of exp(d_j / y_j F_{i,j}) over
+    the diagonal sequence d_i, ..., d_r along [i, ..., r], of
+    exp(d_r / (2 y_r) [[F_r, F_{i,r-1}], F_{i,r-1}]), and of
+    exp(a_j / y_{2r-j} F*_{i,2r-j}) over the folded sl_2r sequence a_r, ...
+    continued from d_{r-1}; Y_r = exp(d / y_r F_r) along [r]."""
+    r, rep, ctx = p.rank, rep_minuscule(p.cartan.family, p.rank), twist_context(p)
+    u, pA = fold_to_A(y, p)
+    factors = []
+    for i in range(1, r):
+        native = calibrated_sequence(y, list(range(i, r + 1)), p)
+        folded = calibrated_sequence(native[r - i - 1].entries + u[r:], list(range(r, 2 * r - i)), pA)
+        factors += [(nested_bracket(rep, "F", i, j), RatFunc(native[j - i].diagonal, y[j - 1])) for j in range(i, r)]
+        factors.append((nested_bracket(rep, "double", i, r), RatFunc(native[r - i].diagonal, y[r - 1] * 2)))
+        for j, step in zip(range(r, 2 * r - i), folded):
+            factors.append((nested_bracket(rep, "Fstar", i, 2 * r - j), RatFunc(step.diagonal, y[2 * r - j - 1])))
+    (last,) = calibrated_sequence(y, [r], p)
+    factors.append((rep.F[r - 1], RatFunc(last.diagonal, y[r - 1])))
+    Y = solutions._weight_diagonal(ctx, rep, y)
+    for M, g in factors:
+        Y = Y @ exp_generator(M, g, ctx, rep.dim)
+    return Y
 
 
 class TestSolutionBC:
@@ -414,6 +437,12 @@ class TestSolutionBC:
     def test_wrong_family_rejected(self, a2_problem, a2_tuple):
         with pytest.raises(UnsupportedTypeError):
             solution_BC(a2_tuple, a2_problem)
+
+    @pytest.mark.parametrize("rank, weights, points", [(2, [[1, 0], [0, 1]], [0, -1]), (3, [[1, 0, 0]], [0])])
+    def test_matches_the_nested_bracket_formula(self, rank, weights, points):
+        p = problem("B", rank, weights, points)
+        for cell in explore(PolyTuple.constants(rank), p).cells.values():
+            assert solution_BC(cell.sample, p) == nested_bracket_solution_BC(cell.sample, p)
 
 
 class TestSolutionGeneral:
@@ -731,8 +760,6 @@ def test_column_updates_match_the_exponential(data, name):
     Y = from_rows(A2_CTX, q, num, den)
     g = RatFunc(data.draw(POLYS), Poly.from_roots(data.draw(DENS)[0]))
     exp_gM = exp_generator(M, g, A2_CTX, 3)
-    right = TwistedMatrix(A2_CTX, Y.q, solutions._times_exp(Y.cols, M, g))
-    assert right == Y @ exp_gM
     for j in range(3):
         column = TwistedMatrix(A2_CTX, Y.q, [solutions._exp_times(M, g, Y.cols[j])])
         assert column == exp_gM @ TwistedMatrix(A2_CTX, Y.q, [Y.cols[j]])
@@ -743,8 +770,6 @@ def test_a_factor_with_nonzero_square_raises(half_problem):
     ctx = twist_context(half_problem)
     M = _entries([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
     Y = unit_columns(ctx, 3)
-    with pytest.raises(ValueError, match=r"M\^2 != 0"):
-        solutions._times_exp(Y.cols, M, RatFunc(X))
     with pytest.raises(ValueError, match=r"M\^2 != 0"):
         solutions._exp_times(M, RatFunc(X), Y.cols[0])
 

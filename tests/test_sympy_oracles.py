@@ -8,12 +8,17 @@ products); the engine's answers are only converted to sympy for the
 comparison.
 """
 
+import io
 import json
+import tempfile
+from contextlib import redirect_stdout
 from fractions import Fraction as F
+from functools import cache
+from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from sympy.integrals.rationaltools import ratint
 
 from conftest import sympy_diag, sympy_matrix
@@ -248,32 +253,72 @@ BETHE_CORPUS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(BETHE_CORPUS))
-def test_population_samples_satisfy_the_bethe_divisibility(name, tmp_path, capsys):
-    # a root t of y_i is critical iff 2 sum_{u != t} 1/(t - u) = y_i''(t)/y_i'(t)
-    # equals -W_i'(t)/W_i(t), W_i = T_i prod_{j != i} y_j^(-a_ij): y_i must
-    # divide y_i'' W_i - y_i' W_i'
-    family, a = name[0], CARTAN[name]
-    weights, order = BETHE_CORPUS[name]
-    rank = len(a)
-    points = ["0", "1"][: len(weights)]
-    doc = {"lie_type": family, "rank": rank, "weights": weights, "points": points, "tuple": [["1"]] * rank}
-    path = tmp_path / "p.json"
+def bethe_divisible(doc, i: int) -> bool:
+    """Whether the roots of y_i in the problem document doc are critical: a
+    root t of y_i is critical iff 2 sum_{u != t} 1/(t - u) = y_i''(t)/y_i'(t)
+    equals -W_i'(t)/W_i(t), W_i = T_i prod_{j != i} y_j^(-a_ij), so iff y_i
+    divides y_i'' W_i - y_i' W_i'."""
+    a = CARTAN[f"{doc['lie_type']}{doc['rank']}"]
+    y = [sympy.Poly([sympy.Rational(c) for c in reversed(coeffs)], x, domain="QQ") for coeffs in doc["tuple"]]
+    W = sympy.Poly(1, x, domain="QQ")
+    for w, z in zip(doc["weights"], doc["points"]):
+        W = W * sympy.Poly(x - sympy.Rational(z), x, domain="QQ") ** w[i]
+    for j in range(len(y)):
+        if j != i and a[i][j]:
+            W = W * y[j] ** -a[i][j]
+    residue = y[i].diff(x).diff(x) * W - y[i].diff(x) * W.diff(x)
+    return residue.rem(y[i]).is_zero
+
+
+def cli_report(command: str, doc, directory: Path) -> tuple[int, dict]:
+    """The exit code and JSON report of `command` on the problem document doc."""
+    path = directory / "p.json"
     path.write_text(json.dumps(doc))
-    assert main(["populate", str(path)]) == 0
-    cells = json.loads(capsys.readouterr().out)["cells"]
-    assert len(cells) == order
-    for cell in cells:
-        y = [sympy.Poly([sympy.Rational(c) for c in reversed(coeffs)], x, domain="QQ") for coeffs in cell["sample"]]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main([command, str(path)])
+    return code, json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("name", sorted(BETHE_CORPUS))
+def test_population_samples_satisfy_the_bethe_divisibility(name, tmp_path):
+    weights, order = BETHE_CORPUS[name]
+    rank = len(CARTAN[name])
+    doc = {"lie_type": name[0], "rank": rank, "weights": weights, "points": ["0", "1"][: len(weights)]}
+    code, report = cli_report("populate", dict(doc, tuple=[["1"]] * rank), tmp_path)
+    assert code == 0 and len(report["cells"]) == order
+    for cell in report["cells"]:
         for i in range(rank):
-            W = sympy.Poly(1, x, domain="QQ")
-            for w, z in zip(weights, points):
-                W = W * sympy.Poly(x - sympy.Rational(z), x, domain="QQ") ** w[i]
-            for j in range(rank):
-                if j != i and a[i][j]:
-                    W = W * y[j] ** -a[i][j]
-            residue = y[i].diff(x).diff(x) * W - y[i].diff(x) * W.diff(x)
-            assert residue.rem(y[i]).is_zero, (cell["degrees"], i + 1)
+            assert bethe_divisible(dict(doc, tuple=cell["sample"]), i), (cell["degrees"], i + 1)
+
+
+def weighted_rank_2(family: str):
+    """The problem document of family_2 with weights (1, 0) at 0 and (0, 1) at 1, less its tuple."""
+    return {"lie_type": family, "rank": 2, "weights": [[1, 0], [0, 1]], "points": ["0", "1"]}
+
+
+@cache
+def rank_2_cell_samples(family: str) -> tuple:
+    with tempfile.TemporaryDirectory() as tmp:
+        _, report = cli_report("populate", dict(weighted_rank_2(family), tuple=[["1"], ["1"]]), Path(tmp))
+    return tuple(cell["sample"] for cell in report["cells"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), family=st.sampled_from("ABG"), shift=st.none() | SCALARS.filter(bool))
+def test_check_fertility_is_the_bethe_divisibility(tmp_path_factory, data, family, shift):
+    # on a generic tuple, direction i is fertile iff the roots of y_i are
+    # critical; a cell sample with one constant term shifted is mostly not
+    sample = [list(coeffs) for coeffs in data.draw(st.sampled_from(rank_2_cell_samples(family)))]
+    if shift is not None:
+        k = data.draw(st.integers(0, 1))
+        sample[k][0] = str(F(sample[k][0]) + shift)
+        assume(any(map(F, sample[k])))
+    doc = dict(weighted_rank_2(family), tuple=sample)
+    code, report = cli_report("check", doc, tmp_path_factory.mktemp("check"))
+    assert code in (0, 1)
+    assume(report["generic"])
+    assert [d["fertile"] for d in report["directions"]] == [bethe_divisible(doc, i) for i in range(2)]
 
 
 # ---------------------------------------------------------------------------

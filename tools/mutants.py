@@ -119,6 +119,11 @@ MUTANTS = (
         "type-a-paths-reversed", "solutions.py", "[range(i, p.rank + 1) for i in range(1, p.rank + 2)]",
         "[range(p.rank, i - 1, -1) for i in range(1, p.rank + 2)]", ("tests/test_solutions.py",),
     ),
+    # the type B factors applied to each unit column in the wrong order
+    Mutant(
+        "sp-columns-left-to-right", "solutions.py", "for M, g in reversed(factors):", "for M, g in factors:",
+        ("tests/test_solutions.py",),
+    ),
     Mutant(
         "rhs-sign", "solutions.py", "RatFunc(step.rhs, entries[step.index - 1] * step.diagonal)",
         "RatFunc(-step.rhs, entries[step.index - 1] * step.diagonal)", ("tests/test_solutions.py",),
